@@ -171,3 +171,55 @@ fn par_block_specs_are_byte_identical_across_thread_counts() {
         assert_eq!(reference, netlist(&plain_spec, 4), "{plain}");
     }
 }
+
+// ---------------------------------------------------------------------
+// Engine differential: a fixed corpus of seeded networks whose AND
+// counts under the paper flow are recorded in
+// `tests/golden/engine_ands.txt` (see its header for the recipe). Every
+// network must stay equivalent to its input, and the corpus total must
+// not exceed the recorded total. Single networks may move either way.
+
+/// Networks in the recorded corpus (seeds `0..CORPUS_SIZE`).
+const CORPUS_SIZE: usize = 300;
+
+#[test]
+fn paper_flow_corpus_stays_within_the_recorded_and_total() {
+    let golden = std::fs::read_to_string("tests/golden/engine_ands.txt")
+        .expect("recorded AND counts committed");
+    let recorded: Vec<(u64, usize)> = golden
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (seed, ands) = l.split_once(' ').expect("`<seed> <ands>` line");
+            (
+                seed.parse().expect("seed"),
+                ands.parse().expect("AND count"),
+            )
+        })
+        .collect();
+    assert_eq!(recorded.len(), CORPUS_SIZE, "corpus file is incomplete");
+    let mut ctx = OptContext::new();
+    let (mut total, mut recorded_total) = (0usize, 0usize);
+    let mut moved = Vec::new();
+    for (seed, before) in recorded {
+        let reference = network(seed).cleanup();
+        let mut xag = reference.clone();
+        Pipeline::paper_flow()
+            .max_rounds(30)
+            .run(&mut xag, &mut ctx);
+        assert!(
+            equiv_exhaustive(&reference, &xag.cleanup()),
+            "paper flow broke equivalence on corpus seed {seed}"
+        );
+        let after = xag.num_ands();
+        if after != before {
+            moved.push(format!("{seed}: {before} -> {after}"));
+        }
+        total += after;
+        recorded_total += before;
+    }
+    assert!(
+        total <= recorded_total,
+        "corpus total {total} ANDs exceeds the recorded {recorded_total}; moved seeds: {moved:?}"
+    );
+}
