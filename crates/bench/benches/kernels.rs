@@ -10,7 +10,7 @@ use xag_circuits::aes::SboxBuilder;
 use xag_circuits::arith::{add_ripple, input_word, multiply_array, output_word};
 use xag_circuits::keccak::keccak_f;
 use xag_cuts::{enumerate_cuts, CutParams};
-use xag_mc::{McRewrite, OptContext, ParRewrite, Pass};
+use xag_mc::{McRewrite, OptContext, Pass};
 use xag_network::{Signal, Xag};
 use xag_synth::Synthesizer;
 use xag_tt::Tt;
@@ -106,13 +106,13 @@ fn bench_parallel_rewriting(g: &mut BenchGroup) {
     let t1 = g.bench_function_timed("par_rewrite/keccak25_1thread", || {
         let mut xag = keccak.cleanup();
         let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(1).run(&mut xag, &mut ctx);
+        let stats = McRewrite::new().run(&mut xag, &mut ctx);
         black_box(stats.ands_after)
     });
     let tn = g.bench_function_timed(&format!("par_rewrite/keccak25_{threads}threads"), || {
         let mut xag = keccak.cleanup();
         let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(threads).run(&mut xag, &mut ctx);
+        let stats = McRewrite::new().run_parallel(&mut xag, &mut ctx, threads);
         black_box(stats.ands_after)
     });
     g.report_ratio("par_rewrite/keccak25_speedup", t1, tn);
@@ -121,13 +121,13 @@ fn bench_parallel_rewriting(g: &mut BenchGroup) {
     let t1 = g.bench_function_timed("par_rewrite/aes_sbox8_1thread", || {
         let mut xag = aes.cleanup();
         let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(1).run(&mut xag, &mut ctx);
+        let stats = McRewrite::new().run(&mut xag, &mut ctx);
         black_box(stats.ands_after)
     });
     let tn = g.bench_function_timed(&format!("par_rewrite/aes_sbox8_{threads}threads"), || {
         let mut xag = aes.cleanup();
         let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(threads).run(&mut xag, &mut ctx);
+        let stats = McRewrite::new().run_parallel(&mut xag, &mut ctx, threads);
         black_box(stats.ands_after)
     });
     g.report_ratio("par_rewrite/aes_sbox8_speedup", t1, tn);

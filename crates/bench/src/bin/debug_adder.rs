@@ -3,7 +3,8 @@
 //!
 //! Usage: `debug_adder [bits] [cut_limit] [cut_size] [exact_vars] [threads] [--json PATH]`
 //!
-//! With `threads > 1` the flow runs through the sharded parallel engine.
+//! `threads` sets the worker count of every rewriting round (wall-clock
+//! only; the result is the same for every count).
 //! With `--json PATH` one before/after record of the run is written.
 
 use xag_bench::{json_path_from_args, write_bench_json, BenchRecord};
@@ -41,11 +42,7 @@ fn main() {
     println!("flow: {:?}", flow.pass_names());
 
     let mut ctx = OptContext::with_config(params.classify_config, params.synth_config);
-    let stats = if threads > 1 {
-        flow.run_parallel(&mut x, &mut ctx, threads)
-    } else {
-        flow.run(&mut x, &mut ctx)
-    };
+    let stats = flow.run_parallel(&mut x, &mut ctx, threads);
     for (i, r) in stats.passes.iter().enumerate() {
         println!("round {i}: {r}");
     }

@@ -6,9 +6,9 @@
 //! what `run_flow` composes into pipelines.
 //!
 //! Usage: `debug_bench [name] [--threads N] [--json PATH]` — with
-//! `--threads N` each round runs through the sharded parallel engine;
-//! with `--json PATH` one before/after record of the whole phase trace
-//! is written.
+//! `--threads N` each mc round proposes on N worker threads; with
+//! `--json PATH` one before/after record of the whole phase trace is
+//! written.
 
 use xag_bench::{json_path_from_args, write_bench_json, BenchRecord};
 use xag_circuits::epfl::{epfl_suite, Scale};
@@ -52,11 +52,7 @@ fn main() {
     println!("— mc rewriting —");
     let mc_pass = McRewrite::new();
     for i in 0..30 {
-        let s = if threads > 1 {
-            mc_pass.run_parallel(&mut xag, &mut ctx, threads)
-        } else {
-            mc_pass.run(&mut xag, &mut ctx)
-        };
+        let s = mc_pass.run_parallel(&mut xag, &mut ctx, threads);
         println!(
             "mc round {i}: {s} (capacity {}, db {})",
             xag.capacity(),

@@ -411,7 +411,7 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
         group.finish();
     }
 
-    // Profiler overhead: one sequential McRewrite round over fuzz_wide
+    // Profiler overhead: one single-thread McRewrite round over fuzz_wide
     // with the phase profiler on vs off. Phases fire at pass, round, and
     // node granularity — never per cut — so the two runs must be within
     // noise of each other; the trajectory keeps the off/on ratio (~1.0)

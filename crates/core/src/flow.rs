@@ -97,7 +97,7 @@ use xag_network::Xag;
 
 use crate::context::OptContext;
 use crate::pass::{Cleanup, McRewrite, Pass, PassStats, SizeRewrite, XorReduce};
-use crate::pipeline::{Pipeline, PipelineStats};
+use crate::pipeline::{run_pass, Pipeline, PipelineStats};
 use crate::Objective;
 
 /// Longest accepted spec text, in bytes — enforced on the raw input
@@ -277,32 +277,14 @@ pub const ALIASES: [(&str, &str); 3] = [
     ("from_params", "{mc(cut=4)}*"),
 ];
 
+/// Expands an alias to its one-item spec, parsed from [`ALIASES`] — the
+/// only definition of each named flow.
 fn alias_item(name: &str) -> Option<FlowItem> {
-    let converge_group = |units: &[FlowUnit]| FlowItem {
-        unit: FlowUnit::Group(
-            units
-                .iter()
-                .map(|u| FlowItem {
-                    unit: u.clone(),
-                    repeat: Repeat::Once,
-                })
-                .collect(),
-        ),
-        repeat: Repeat::Converge,
-    };
-    match name {
-        "paper" | "paper_flow" => Some(converge_group(&[
-            FlowUnit::Mc { cut: 4 },
-            FlowUnit::Mc { cut: 6 },
-        ])),
-        "compress" => Some(converge_group(&[
-            FlowUnit::Size { cut: 4 },
-            FlowUnit::Size { cut: 6 },
-            FlowUnit::Xor,
-        ])),
-        "from_params" => Some(converge_group(&[FlowUnit::Mc { cut: 4 }])),
-        _ => None,
-    }
+    let name = if name == "paper_flow" { "paper" } else { name };
+    let (_, expansion) = ALIASES.iter().find(|(alias, _)| *alias == name)?;
+    let mut spec = FlowSpec::parse(expansion).expect("alias expansions parse");
+    debug_assert_eq!(spec.items.len(), 1, "an alias expands to one item");
+    spec.items.pop()
 }
 
 fn alias_spec(name: &str) -> Option<FlowSpec> {
@@ -407,38 +389,14 @@ impl FlowSpec {
         self.normalize().to_string()
     }
 
-    /// Lowers the spec into a single flat [`Pipeline`]: every pass atom
-    /// in order (bounded repetitions expanded, `par` erased), measured on
-    /// [`Objective::Size`] iff the spec contains a `size` atom, capped at
-    /// `max_rounds`.
-    ///
-    /// For a spec that is one until-convergence group — every alias is —
-    /// this is exactly the pipeline [`FlowSpec::run`] executes, which is
-    /// how alias specs stay byte-identical to the historical
-    /// [`crate::FlowKind`] flows. Specs with richer structure (bounded
-    /// repetition, sequenced convergence groups) need [`FlowSpec::run`],
-    /// which honors per-item repetition; this lowering only preserves
-    /// their pass multiset.
-    pub fn to_pipeline(&self, max_rounds: usize) -> Pipeline {
-        let mut passes = Vec::new();
-        collect_passes(&self.items, None, &mut passes);
-        let mut flow = Pipeline::new()
-            .metric(items_metric(&self.items))
-            .max_rounds(max_rounds.max(1));
-        for pass in passes {
-            flow = flow.add_boxed(pass);
-        }
-        flow
-    }
-
     /// Executes the spec on `xag` with up to `threads` workers (`par`
     /// blocks override locally) and at most `max_rounds` total pass
     /// executions.
     ///
     /// The optimized network depends only on `(xag, self.normalized(),
-    /// max_rounds)` — never on any thread count — because every pass runs
-    /// through [`Pass::run_parallel`] and the sharded engine is
-    /// bit-identical across worker counts.
+    /// max_rounds)` — never on any thread count — because every rewriting
+    /// round runs through the sharded engine, which is bit-identical
+    /// across worker counts.
     pub fn run(
         &self,
         xag: &mut Xag,
@@ -590,77 +548,45 @@ fn atom_pass(unit: &FlowUnit) -> Option<Box<dyn Pass>> {
     }
 }
 
-/// A pass that always runs with its own worker count, ignoring the
-/// pipeline-level thread count — how a `par{}` block keeps its override
-/// when its body is flattened into a [`Pipeline`] (e.g. inside an
-/// until-convergence group). Purely a scheduling wrapper: results stay
-/// bit-identical (see [`crate::shard`]), and the pass name is unchanged
-/// so statistics rows are unaffected.
-struct PinnedThreads {
-    pass: Box<dyn Pass>,
-    threads: usize,
-}
-
-impl Pass for PinnedThreads {
-    fn name(&self) -> &str {
-        self.pass.name()
-    }
-
-    fn run(&self, xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
-        self.pass.run_parallel(xag, ctx, self.threads)
-    }
-
-    fn run_parallel(&self, xag: &mut Xag, ctx: &mut OptContext, _threads: usize) -> PassStats {
-        self.pass.run_parallel(xag, ctx, self.threads)
-    }
-}
-
-/// Flattens `items` into pass objects, expanding bounded repetitions.
-/// `pin` carries the innermost enclosing `par{}` thread count, so a
-/// `par` block nested anywhere — including inside a convergence group —
-/// keeps its worker-count override through the flattening.
-fn collect_passes(items: &[FlowItem], pin: Option<usize>, out: &mut Vec<Box<dyn Pass>>) {
+/// Appends the passes of `items` to `flow`, expanding bounded
+/// repetitions. `pin` carries the innermost enclosing `par{}` thread
+/// count, which travels with each pass into the pipeline — so a `par`
+/// block nested anywhere, including inside a convergence group, keeps its
+/// worker-count override.
+fn lower_items(items: &[FlowItem], pin: Option<usize>, mut flow: Pipeline) -> Pipeline {
     for item in items {
         let times = match item.repeat {
             Repeat::Once | Repeat::Converge => 1,
             Repeat::Times(k) => k,
         };
         for _ in 0..times {
-            match &item.unit {
-                FlowUnit::Group(body) => collect_passes(body, pin, out),
-                FlowUnit::Par { threads, body } => collect_passes(body, Some(*threads), out),
-                atom => {
-                    let pass = atom_pass(atom).expect("atoms lower to passes");
-                    out.push(match pin {
-                        Some(threads) => Box::new(PinnedThreads { pass, threads }),
-                        None => pass,
-                    });
-                }
-            }
+            flow = match &item.unit {
+                FlowUnit::Group(body) => lower_items(body, pin, flow),
+                FlowUnit::Par { threads, body } => lower_items(body, Some(*threads), flow),
+                atom => flow.add_with_threads(atom_pass(atom).expect("atoms lower to passes"), pin),
+            };
         }
     }
+    flow
 }
 
-fn items_metric(items: &[FlowItem]) -> Objective {
-    fn has_size(items: &[FlowItem]) -> bool {
-        items.iter().any(|item| match &item.unit {
+/// The metric a convergence group measures: [`Objective::Size`] iff the
+/// unit contains a `size` atom.
+fn unit_metric(unit: &FlowUnit) -> Objective {
+    fn has_size(unit: &FlowUnit) -> bool {
+        match unit {
             FlowUnit::Size { .. } => true,
-            FlowUnit::Group(body) | FlowUnit::Par { body, .. } => has_size(body),
+            FlowUnit::Group(body) | FlowUnit::Par { body, .. } => {
+                body.iter().any(|item| has_size(&item.unit))
+            }
             _ => false,
-        })
+        }
     }
-    if has_size(items) {
+    if has_size(unit) {
         Objective::Size
     } else {
         Objective::MultiplicativeComplexity
     }
-}
-
-fn unit_metric(unit: &FlowUnit) -> Objective {
-    items_metric(core::slice::from_ref(&FlowItem {
-        unit: unit.clone(),
-        repeat: Repeat::Once,
-    }))
 }
 
 fn run_items(
@@ -685,19 +611,13 @@ fn run_items(
                     *converged = false;
                     continue;
                 }
-                // Reuse the Pipeline convergence schedule verbatim: this
-                // is what keeps alias specs byte-identical to the
-                // historical FlowKind flows.
-                let remaining = budget - executed.len();
-                let mut flow = Pipeline::new()
+                // The one convergence loop: Pipeline's schedule, so an
+                // alias runs exactly like the library pipeline it names.
+                let flow = Pipeline::new()
                     .metric(unit_metric(&item.unit))
-                    .max_rounds(remaining);
-                let mut passes = Vec::new();
-                collect_passes(core::slice::from_ref(item), None, &mut passes);
-                for pass in passes {
-                    flow = flow.add_boxed(pass);
-                }
-                let stats = flow.run_parallel(xag, ctx, threads);
+                    .max_rounds(budget - executed.len());
+                let stats = lower_items(core::slice::from_ref(item), None, flow)
+                    .run_parallel(xag, ctx, threads);
                 *converged &= stats.converged;
                 executed.extend(stats.passes);
             }
@@ -725,9 +645,7 @@ fn run_unit(
                 return;
             }
             let pass = atom_pass(atom).expect("atoms lower to passes");
-            let stats = pass.run_parallel(xag, ctx, threads);
-            crate::observe::pass_boundary(&stats);
-            executed.push(stats);
+            executed.push(run_pass(pass.as_ref(), xag, ctx, threads));
         }
     }
 }
@@ -1267,17 +1185,6 @@ mod tests {
     }
 
     #[test]
-    fn alias_pipelines_match_the_flowkind_flows() {
-        use crate::FlowKind;
-        for kind in FlowKind::ALL {
-            let spec = FlowSpec::named(kind.name()).unwrap();
-            let ours = spec.to_pipeline(100);
-            let theirs = kind.pipeline(100);
-            assert_eq!(ours.pass_names(), theirs.pass_names(), "{kind}");
-        }
-    }
-
-    #[test]
     fn execution_preserves_function_and_honors_the_round_budget() {
         for text in [
             "paper",
@@ -1344,33 +1251,26 @@ mod tests {
     }
 
     /// A `par{}` nested inside a convergence group keeps its worker
-    /// override through the pipeline flattening (the PinnedThreads
-    /// wrapper) without changing names, results, or the normalized key.
+    /// override through the pipeline flattening without changing pass
+    /// names, results, or the normalized key.
     #[test]
     fn nested_par_in_convergence_group_runs_and_stays_canonical() {
         let nested = FlowSpec::parse("{par(threads=4){mc(cut=4)};mc(cut=6)}*").unwrap();
         assert_eq!(nested.normalized(), "{mc(cut=4);mc(cut=6)}*");
-        assert_eq!(
-            nested.to_pipeline(100).pass_names(),
-            FlowSpec::parse("paper")
-                .unwrap()
-                .to_pipeline(100)
-                .pass_names(),
-            "the pinning wrapper must not rename passes"
-        );
-        let netlist = |spec: &FlowSpec| {
+        let run = |spec: &FlowSpec| {
             let mut xag = full_adder();
             let mut ctx = OptContext::new();
             let stats = spec.run(&mut xag, &mut ctx, 1, 100);
             assert!(stats.converged);
+            let names: Vec<String> = stats.passes.into_iter().map(|p| p.pass).collect();
             let mut buf = Vec::new();
             write_verilog(&xag.cleanup(), "m", &mut buf).expect("in-memory write");
-            buf
+            (names, buf)
         };
         assert_eq!(
-            netlist(&nested),
-            netlist(&FlowSpec::parse("paper").unwrap()),
-            "nested par is scheduling only — results stay byte-identical"
+            run(&nested),
+            run(&FlowSpec::parse("paper").unwrap()),
+            "nested par is scheduling only — pass names and netlists stay identical"
         );
     }
 }

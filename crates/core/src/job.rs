@@ -8,20 +8,12 @@
 //! pick (worker threads, round cap), and [`run_job`] executes it without
 //! exposing pass internals.
 //!
-//! Every pass of a flow runs through [`Pass::run_parallel`] — even with
-//! one thread — because the parallel engine is bit-identical across
-//! thread counts. That makes the optimized network a function of
+//! Every rewriting round runs through the sharded engine
+//! ([`crate::shard`]), which is bit-identical across thread counts. That
+//! makes the optimized network a function of
 //! `(circuit, flow.normalized(), max_rounds)` alone, which is exactly
 //! the property a semantic result cache needs: thread counts (the job's
 //! or a `par{}` block's) may change wall-clock, never the answer.
-//!
-//! [`FlowKind`] — the closed three-flow enum this API exposed before the
-//! FlowSpec redesign — survives as a **deprecated thin shim**: each
-//! variant parses to its alias spec ([`FlowKind::spec`], or `.into()`),
-//! so historical call sites keep compiling while new code speaks
-//! [`FlowSpec`] directly.
-//!
-//! [`Pass::run_parallel`]: crate::Pass::run_parallel
 //!
 //! # Examples
 //!
@@ -71,98 +63,6 @@ use xag_network::Xag;
 
 use crate::context::OptContext;
 use crate::flow::FlowSpec;
-use crate::pipeline::Pipeline;
-
-/// The historical named optimization flows.
-///
-/// **Deprecated shim**: the job API speaks [`FlowSpec`] now, and each
-/// variant here is nothing but a name for its alias spec — use
-/// [`FlowKind::spec`] (or `FlowSpec::from(kind)`) to convert, and prefer
-/// [`FlowSpec::parse`] for anything new. The enum remains because the
-/// service tiers still enumerate the canonical flows for zero-filled
-/// statistics rows ([`FlowKind::ALL`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlowKind {
-    /// Alias `paper` — minimize multiplicative complexity until
-    /// convergence (the DAC'19 flow): `{mc(cut=4);mc(cut=6)}*`.
-    #[default]
-    Paper,
-    /// Alias `compress` — generic size compression (the ABC-script
-    /// stand-in): `{size(cut=4);size(cut=6);xor}*`.
-    Compress,
-    /// Alias `from_params` — the fast 4-cut flow the
-    /// [`crate::McOptimizer`] facade builds: `{mc(cut=4)}*`.
-    FromParams,
-}
-
-impl FlowKind {
-    /// The stable alias used on the wire and on CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlowKind::Paper => "paper",
-            FlowKind::Compress => "compress",
-            FlowKind::FromParams => "from_params",
-        }
-    }
-
-    /// Every canonical flow, in wire-name order — service tiers use this
-    /// to report a complete per-flow breakdown (zero-filled for flows
-    /// not yet run).
-    pub const ALL: [FlowKind; 3] = [FlowKind::Paper, FlowKind::Compress, FlowKind::FromParams];
-
-    /// Parses a flow alias; accepts the historical `paper_flow`
-    /// spelling. For full spec strings use [`FlowSpec::parse`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "paper" | "paper_flow" => Some(FlowKind::Paper),
-            "compress" => Some(FlowKind::Compress),
-            "from_params" => Some(FlowKind::FromParams),
-            _ => None,
-        }
-    }
-
-    /// The [`FlowSpec`] this alias expands to.
-    pub fn spec(self) -> FlowSpec {
-        FlowSpec::named(self.name()).expect("every FlowKind names a canonical alias")
-    }
-
-    /// Builds the corresponding pipeline, capped at `max_rounds`.
-    ///
-    /// Kept for the shim's byte-identity contract:
-    /// `kind.pipeline(r)` and `kind.spec().to_pipeline(r)` construct the
-    /// same pass sequence, so pre-FlowSpec callers and spec-driven
-    /// callers optimize identically.
-    pub fn pipeline(self, max_rounds: usize) -> Pipeline {
-        let flow = match self {
-            FlowKind::Paper => Pipeline::paper_flow(),
-            FlowKind::Compress => Pipeline::compress(),
-            FlowKind::FromParams => {
-                let defaults = crate::RewriteParams::default();
-                let params = crate::RewriteParams {
-                    cut_params: xag_cuts::CutParams {
-                        cut_size: 4,
-                        ..defaults.cut_params
-                    },
-                    ..defaults
-                };
-                Pipeline::from_params(&params)
-            }
-        };
-        flow.max_rounds(max_rounds.max(1))
-    }
-}
-
-impl From<FlowKind> for FlowSpec {
-    fn from(kind: FlowKind) -> Self {
-        kind.spec()
-    }
-}
-
-impl core::fmt::Display for FlowKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// What to run on a submitted network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,6 +139,7 @@ pub fn run_job(xag: &mut Xag, ctx: &mut OptContext, spec: &JobSpec) -> JobResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Pipeline;
     use xag_network::{equiv_exhaustive, write_verilog};
 
     fn redundant_network() -> Xag {
@@ -260,16 +161,16 @@ mod tests {
 
     #[test]
     fn flow_names_round_trip_and_accept_alias() {
-        for f in FlowKind::ALL {
-            assert_eq!(FlowKind::from_name(f.name()), Some(f));
+        for (name, _) in FlowSpec::aliases() {
+            assert_eq!(FlowSpec::named(name), FlowSpec::parse(name).ok(), "{name}");
         }
-        assert_eq!(FlowKind::from_name("paper_flow"), Some(FlowKind::Paper));
-        assert_eq!(FlowKind::from_name("resub"), None);
+        assert_eq!(FlowSpec::named("paper_flow"), FlowSpec::named("paper"));
+        assert_eq!(FlowSpec::named("resub"), None);
     }
 
     #[test]
     fn every_flow_preserves_function_and_reports_counts() {
-        for flow in FlowKind::ALL {
+        for (name, _) in FlowSpec::aliases() {
             let mut xag = redundant_network();
             let reference = xag.cleanup();
             let mut ctx = OptContext::new();
@@ -277,11 +178,11 @@ mod tests {
                 &mut xag,
                 &mut ctx,
                 &JobSpec {
-                    flow: flow.into(),
+                    flow: FlowSpec::named(name).expect("listed alias"),
                     ..JobSpec::default()
                 },
             );
-            assert!(equiv_exhaustive(&reference, &xag.cleanup()), "{flow}");
+            assert!(equiv_exhaustive(&reference, &xag.cleanup()), "{name}");
             assert_eq!(result.ands_after, xag.num_ands());
             assert!(result.rounds > 0);
             assert!(result.ands_after <= result.ands_before);
@@ -308,23 +209,29 @@ mod tests {
         assert_eq!(one, netlist(4));
     }
 
-    /// The shim's acceptance contract: every historical `FlowKind` flow
-    /// produces a byte-identical netlist to its FlowSpec alias expansion
-    /// (both its alias name and the written-out spec text).
+    /// Every entry point runs the same engine: each named flow run as a
+    /// job — by alias and by its written-out expansion — yields the
+    /// netlist of the library pipeline of the same name.
     #[test]
-    fn flowkind_flows_match_their_spec_expansions_byte_for_byte() {
-        for kind in FlowKind::ALL {
+    fn alias_flows_match_their_pipelines_byte_for_byte() {
+        for (name, expansion) in FlowSpec::aliases() {
+            let pipeline = match *name {
+                "paper" => Pipeline::paper_flow(),
+                "compress" => Pipeline::compress(),
+                _ => Pipeline::from_params(&crate::RewriteParams {
+                    cut_params: xag_cuts::CutParams {
+                        cut_size: 4,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                }),
+            };
             let via_pipeline = {
                 let mut xag = redundant_network();
-                let mut ctx = OptContext::new();
-                kind.pipeline(100).run_parallel(&mut xag, &mut ctx, 1);
+                pipeline.run(&mut xag, &mut OptContext::new());
                 netlist_of(&xag)
             };
-            let (_, expansion) = crate::flow::ALIASES
-                .iter()
-                .find(|(name, _)| *name == kind.name())
-                .expect("every FlowKind is listed in ALIASES");
-            for text in [kind.name(), *expansion] {
+            for text in [*name, *expansion] {
                 let mut xag = redundant_network();
                 let mut ctx = OptContext::new();
                 let result = run_job(
@@ -335,11 +242,11 @@ mod tests {
                         ..JobSpec::default()
                     },
                 );
-                assert!(result.converged, "{kind} via {text}");
+                assert!(result.converged, "{name} via {text}");
                 assert_eq!(
                     netlist_of(&xag),
                     via_pipeline,
-                    "{kind} via {text} diverged from the FlowKind pipeline"
+                    "{name} via {text} diverged from the library pipeline"
                 );
             }
         }

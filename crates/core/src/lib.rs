@@ -10,21 +10,20 @@
 //!   networks.
 //! * [`Pass`] — one step of a flow: [`McRewrite`] (the paper's
 //!   Algorithm 1), [`SizeRewrite`] (the unit-cost ABC-baseline stand-in),
-//!   [`ParRewrite`] (sharded parallel rewriting with a fixed worker
-//!   count), [`XorReduce`] (Paar linear-layer compression), and
-//!   [`Cleanup`] (arena compaction).
+//!   [`XorReduce`] (Paar linear-layer compression), and [`Cleanup`]
+//!   (arena compaction).
 //! * [`Pipeline`] — ABC-script-style flow construction
 //!   ([`Pipeline::paper_flow`], [`Pipeline::compress`], or pass by pass
 //!   with [`Pipeline::add`]) with until-convergence repetition and
-//!   per-pass statistics; [`Pipeline::run_parallel`] runs the same flow
-//!   on a worker pool through the sharded engine ([`shard`]), producing
-//!   bit-identical results for every thread count.
+//!   per-pass statistics; [`Pipeline::run_parallel`] spreads the same
+//!   flow over a worker pool, with bit-identical results for every
+//!   thread count.
 //! * [`McOptimizer`] — a thin facade running [`Pipeline::paper_flow`]
-//!   with one call, for the common case ([`RewriteParams::threads`]
-//!   routes it through the parallel engine).
+//!   with one call, for the common case.
 //!
-//! One [`McRewrite`] round implements the paper's Algorithm 1 on top of
-//! the supporting crates:
+//! Both rewriting passes run every round through one engine, the sharded
+//! propose/commit round of [`shard`]. One [`McRewrite`] round implements
+//! the paper's Algorithm 1 on top of the supporting crates:
 //!
 //! 1. enumerate 6-feasible cuts of every gate ([`xag_cuts`]);
 //! 2. compute each cut's function as a truth table;
@@ -35,11 +34,14 @@
 //!    paper's precomputed NIST `XAG_DB`);
 //! 5. replay the affine operations on the circuit (free: XORs, inverters
 //!    and wiring only) to obtain a drop-in replacement for the cut;
-//! 6. accept the replacement when it strictly decreases the number of AND
-//!    gates, taking structural sharing into account (MFFC dereferencing for
-//!    the removed logic, hash-aware dry-run for the added logic);
-//! 7. iterate over all nodes, and — under [`Pipeline::run`] — until
-//!    convergence.
+//! 6. propose the replacement when it strictly decreases the number of
+//!    AND gates, taking structural sharing into account (MFFC
+//!    dereferencing for the removed logic, hash-aware dry-run for the
+//!    added logic), measured on the network as it was when the round
+//!    started;
+//! 7. commit the proposals in topological order, re-checking each gain on
+//!    the network the earlier commits left, and — under [`Pipeline::run`]
+//!    — repeat rounds until convergence.
 //!
 //! # Examples
 //!
@@ -108,18 +110,16 @@ mod observe;
 mod pass;
 mod pipeline;
 pub mod shard;
-mod stats;
 mod xor_reduce;
 
 pub use canon::{canonical_form, fingerprint, job_key};
 pub use context::OptContext;
 pub use cost::{protocol_costs, ProtocolCosts};
 pub use flow::{FlowError, FlowItem, FlowSpec, FlowUnit, Repeat};
-pub use job::{run_job, FlowKind, JobResult, JobSpec};
-pub use pass::{Cleanup, McRewrite, ParRewrite, Pass, PassStats, SizeRewrite, XorReduce};
+pub use job::{run_job, JobResult, JobSpec};
+pub use pass::{Cleanup, McRewrite, Pass, PassStats, SizeRewrite, XorReduce};
 pub use pipeline::{PassSummary, Pipeline, PipelineStats};
 pub use shard::{partition_windows, Shard};
-pub use stats::{RewriteStats, RoundStats};
 pub use xor_reduce::reduce_xors;
 
 /// What the rewriter minimizes.
@@ -147,10 +147,9 @@ pub struct RewriteParams {
     /// Maximum number of rounds in [`McOptimizer::run_to_convergence`]
     /// (the paper observed convergence within 58 rounds on all benchmarks).
     pub max_rounds: usize,
-    /// Worker threads for the rewriting passes. `1` (the default) runs the
-    /// classic sequential rounds; `> 1` routes every round through the
-    /// sharded propose/commit engine ([`shard`]), whose result is
-    /// bit-identical for every thread count.
+    /// Worker threads for the propose phase of every rewriting round
+    /// ([`shard`]). Changes wall-clock only: the result is bit-identical
+    /// for every thread count.
     pub threads: usize,
 }
 
@@ -218,15 +217,15 @@ impl McOptimizer {
 
     /// Runs one rewriting round over all gates (the paper's "One round"
     /// columns) and returns its statistics.
-    pub fn run_once(&mut self, xag: &mut Xag) -> RoundStats {
-        pass::rewrite_round(
+    pub fn run_once(&mut self, xag: &mut Xag) -> PassStats {
+        shard::parallel_rewrite_round(
             xag,
             &mut self.ctx,
             &self.params.cut_params,
             self.params.objective,
+            self.params.threads,
             "facade",
         )
-        .into()
     }
 
     /// Repeats rewriting rounds until the objective stops improving (the
@@ -235,14 +234,8 @@ impl McOptimizer {
     /// [`Pipeline::from_params`] flow — 4-feasible cuts alternated with
     /// the configured cut size, smaller first (see
     /// [`Pipeline::paper_flow`] for why).
-    pub fn run_to_convergence(&mut self, xag: &mut Xag) -> RewriteStats {
-        let flow = Pipeline::from_params(&self.params);
-        let stats = if self.params.threads > 1 {
-            flow.run_parallel(xag, &mut self.ctx, self.params.threads)
-        } else {
-            flow.run(xag, &mut self.ctx)
-        };
-        stats.into_rewrite_stats()
+    pub fn run_to_convergence(&mut self, xag: &mut Xag) -> PipelineStats {
+        Pipeline::from_params(&self.params).run_parallel(xag, &mut self.ctx, self.params.threads)
     }
 
     /// Algorithm 1 of the paper: build the replacement circuit for a cut
@@ -369,7 +362,7 @@ mod tests {
         let stats = opt.run_to_convergence(&mut xag);
         assert!(xag.num_ands() <= before);
         assert!(equiv_exhaustive(&reference, &xag.cleanup()));
-        assert!(!stats.rounds.is_empty());
+        assert!(!stats.passes.is_empty());
     }
 
     #[test]

@@ -17,8 +17,7 @@
 use crate::pass::PassStats;
 
 /// Records one executed pass: metrics, a trace span, and a progress
-/// update. Called by the pipeline convergence loop, `run_once`, and the
-/// flow interpreter's direct pass execution.
+/// update. Called for every pass a pipeline or a flow spec executes.
 pub(crate) fn pass_boundary(stats: &PassStats) {
     let elapsed_us = stats.elapsed.as_micros() as u64;
     let reg = mc_obs::registry();

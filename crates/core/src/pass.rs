@@ -14,11 +14,11 @@
 
 use std::time::{Duration, Instant};
 
-use xag_cuts::{enumerate_cuts_for, CutParams};
-use xag_network::{ConeScratch, NodeId, NodeKind, Signal, TopoScratch, Xag, XagFragment};
+use xag_cuts::CutParams;
+use xag_network::Xag;
 
 use crate::context::OptContext;
-use crate::stats::RoundStats;
+use crate::shard::parallel_rewrite_round;
 use crate::xor_reduce::reduce_xors;
 use crate::Objective;
 
@@ -73,20 +73,6 @@ impl core::fmt::Display for PassStats {
     }
 }
 
-impl From<PassStats> for RoundStats {
-    fn from(s: PassStats) -> Self {
-        RoundStats {
-            ands_before: s.ands_before,
-            xors_before: s.xors_before,
-            ands_after: s.ands_after,
-            xors_after: s.xors_after,
-            rewrites_applied: s.rewrites_applied,
-            cuts_considered: s.cuts_considered,
-            elapsed: s.elapsed,
-        }
-    }
-}
-
 /// One step of an optimization flow.
 ///
 /// A pass mutates the network in place and may read and grow the shared
@@ -97,160 +83,25 @@ pub trait Pass {
     /// Short stable name, used in statistics and flow descriptions.
     fn name(&self) -> &str;
 
-    /// Runs the pass on `xag`.
-    fn run(&self, xag: &mut Xag, ctx: &mut OptContext) -> PassStats;
+    /// Runs the pass on `xag` with up to `threads` worker threads. The
+    /// rewriting passes spread the propose phase of the [`crate::shard`]
+    /// engine over the workers; passes whose work is inherently serial
+    /// (XOR reduction, arena compaction) ignore the count. Either way the
+    /// result is the same for every thread count.
+    fn run_parallel(&self, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats;
 
-    /// Runs the pass with up to `threads` worker threads.
-    ///
-    /// The default falls back to the sequential [`Pass::run`]; the
-    /// rewriting passes override it with the sharded propose/commit engine
-    /// ([`crate::shard`]), whose result is bit-identical for every thread
-    /// count. Passes whose work is inherently serial (XOR reduction, arena
-    /// compaction) keep the fallback.
-    fn run_parallel(&self, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats {
-        let _ = threads;
-        self.run(xag, ctx)
+    /// Runs the pass on `xag` on the calling thread.
+    fn run(&self, xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
+        self.run_parallel(xag, ctx, 1)
     }
-}
-
-/// Load-balancing seed of the parallel rewriting passes (the shard-claim
-/// shuffle). Fixed — never wall-clock — so parallel runs are reproducible;
-/// it cannot affect results, only scheduling (see [`crate::shard`]).
-pub(crate) const PAR_REWRITE_SEED: u64 = 0xDAC1_9DAC_19DA_C19D;
-
-/// One round of cut rewriting shared by [`McRewrite`] and [`SizeRewrite`]
-/// (and the [`crate::McOptimizer`] facade's `run_once`).
-pub(crate) fn rewrite_round(
-    xag: &mut Xag,
-    ctx: &mut OptContext,
-    cut_params: &CutParams,
-    objective: Objective,
-    pass_name: &str,
-) -> PassStats {
-    let _round = mc_obs::prof::phase(match objective {
-        Objective::MultiplicativeComplexity => "mc_rewrite",
-        Objective::Size => "size_rewrite",
-    });
-    // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
-    let start = Instant::now();
-    let mut topo = TopoScratch::new();
-    let mut order: Vec<NodeId> = Vec::new();
-    xag.live_gates_into(&mut topo, &mut order);
-    let (ands_before, xors_before) = count_gates(xag, &order);
-    let mut applied = 0usize;
-    let mut considered = 0usize;
-
-    // Enumeration computes every cut's function in the same bottom-up sweep;
-    // those tables describe the network as it is *now*. They stay valid until
-    // the first accepted substitution, after which cut functions must be
-    // re-derived on the mutated network.
-    let sets = {
-        let _p = mc_obs::prof::phase("cut_enum");
-        enumerate_cuts_for(xag, &order, cut_params)
-    };
-    let mut cone = ConeScratch::new();
-    let mut mutated = false;
-    for &root in &order {
-        if xag.is_dead(root) {
-            continue;
-        }
-        // Find the best replacement among this node's cuts. The phase
-        // guard is per node — never per cut.
-        let classify = mc_obs::prof::phase("classify");
-        let mut best: Option<(i64, XagFragment, [Signal; 6], usize)> = None;
-        let tts = sets.functions_of(root);
-        for (ci, cut) in sets.of(root).iter().enumerate() {
-            if cut.size() < 2 {
-                continue; // trivial and single-leaf cuts
-            }
-            // Leaves may have died since enumeration; re-derive the cut
-            // function on the current network (None = no longer a cut).
-            if cut.leaves().iter().any(|&l| xag.is_dead(l)) {
-                continue;
-            }
-            let tt = if mutated {
-                match xag.cone_tt_with(root, cut.leaves(), &mut cone) {
-                    Some(tt) => tt,
-                    None => continue,
-                }
-            } else {
-                tts[ci]
-            };
-            if tt.is_constant() {
-                continue;
-            }
-            considered += 1;
-            let candidate = ctx.candidate_for_cut(tt);
-            let mut leaves = [Signal::CONST0; 6];
-            for (k, &l) in cut.leaves().iter().enumerate() {
-                leaves[k] = Signal::new(l, false);
-            }
-            let nl = cut.size();
-            let (freed_ands, freed_total) = xag.deref_cone(root, cut.leaves());
-            let (added_ands, added_total) = candidate.count_new_gates(xag, &leaves[..nl]);
-            xag.ref_cone(root, cut.leaves());
-            let gain = match objective {
-                Objective::MultiplicativeComplexity => freed_ands as i64 - added_ands as i64,
-                Objective::Size => freed_total as i64 - added_total as i64,
-            };
-            if gain > 0 && best.as_ref().map(|(g, ..)| gain > *g).unwrap_or(true) {
-                best = Some((gain, candidate, leaves, nl));
-            }
-        }
-        drop(classify);
-        if let Some((_, candidate, leaves, nl)) = best {
-            let watermark = xag.capacity();
-            let new_sig = {
-                let _p = mc_obs::prof::phase("synth");
-                candidate.instantiate(xag, &leaves[..nl])
-            };
-            let _p = mc_obs::prof::phase("commit_validate");
-            if new_sig.node() != root && !xag.is_in_tfi(root, new_sig) {
-                xag.substitute(root, new_sig);
-                applied += 1;
-                mutated = true;
-            } else {
-                // The instantiated candidate was rejected (it resolved to
-                // the root itself, or substituting would create a cycle).
-                // Its freshly created nodes are referenced by nothing —
-                // reclaim everything above the pre-instantiation watermark
-                // instead of leaving garbage in the arena round after round.
-                // This leaves every pre-existing cone untouched, so the
-                // enumeration-time cut functions remain valid.
-                xag.reclaim_above(watermark);
-            }
-        }
-    }
-
-    xag.live_gates_into(&mut topo, &mut order);
-    let (ands_after, xors_after) = count_gates(xag, &order);
-    PassStats {
-        pass: pass_name.to_string(),
-        ands_before,
-        xors_before,
-        ands_after,
-        xors_after,
-        rewrites_applied: applied,
-        cuts_considered: considered,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Counts `(AND, XOR)` gates of a topological order in one walk, instead of
-/// two full `num_ands`/`num_xors` DFS passes.
-pub(crate) fn count_gates(xag: &Xag, order: &[NodeId]) -> (usize, usize) {
-    let ands = order
-        .iter()
-        .filter(|&&n| xag.kind(n) == NodeKind::And)
-        .count();
-    (ands, order.len() - ands)
 }
 
 /// Cut rewriting minimizing multiplicative complexity — the paper's
-/// Algorithm 1, as a composable pass. One execution is one round over all
-/// gates; run it under a [`crate::Pipeline`] for convergence.
+/// Algorithm 1, as a composable pass. One execution is one propose/commit
+/// round of the [`crate::shard`] engine over all gates; run it under a
+/// [`crate::Pipeline`] for convergence.
 ///
-/// `rewrites_applied` counts accepted substitutions.
+/// `rewrites_applied` counts committed substitutions.
 #[derive(Debug, Clone)]
 pub struct McRewrite {
     cut_params: CutParams,
@@ -296,24 +147,13 @@ impl Pass for McRewrite {
         &self.name
     }
 
-    fn run(&self, xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
-        rewrite_round(
-            xag,
-            ctx,
-            &self.cut_params,
-            Objective::MultiplicativeComplexity,
-            &self.name,
-        )
-    }
-
     fn run_parallel(&self, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats {
-        crate::shard::parallel_rewrite_round(
+        parallel_rewrite_round(
             xag,
             ctx,
             &self.cut_params,
             Objective::MultiplicativeComplexity,
             threads,
-            PAR_REWRITE_SEED,
             &self.name,
         )
     }
@@ -361,101 +201,13 @@ impl Pass for SizeRewrite {
         &self.name
     }
 
-    fn run(&self, xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
-        rewrite_round(xag, ctx, &self.cut_params, Objective::Size, &self.name)
-    }
-
     fn run_parallel(&self, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats {
-        crate::shard::parallel_rewrite_round(
+        parallel_rewrite_round(
             xag,
             ctx,
             &self.cut_params,
             Objective::Size,
             threads,
-            PAR_REWRITE_SEED,
-            &self.name,
-        )
-    }
-}
-
-/// Sharded parallel cut rewriting with a fixed worker count — the
-/// pass-object form of the [`crate::shard`] engine, for flows that want a
-/// parallel round regardless of how they are run.
-///
-/// Unlike [`McRewrite`]/[`SizeRewrite`] — which parallelize only under
-/// [`crate::Pipeline::run_parallel`] — this pass uses its own thread count
-/// even under a plain [`Pipeline::run`](crate::Pipeline::run) or
-/// [`Pass::run`]. Results are bit-identical for every thread count;
-/// `rewrites_applied` counts committed substitutions.
-#[derive(Debug, Clone)]
-pub struct ParRewrite {
-    cut_params: CutParams,
-    objective: Objective,
-    threads: usize,
-    seed: u64,
-    name: String,
-}
-
-impl ParRewrite {
-    /// MC-objective parallel rewriting with the paper's cut parameters.
-    pub fn new(threads: usize) -> Self {
-        Self::with_params(
-            CutParams::default(),
-            Objective::MultiplicativeComplexity,
-            threads,
-        )
-    }
-
-    /// Fully custom parameters.
-    pub fn with_params(cut_params: CutParams, objective: Objective, threads: usize) -> Self {
-        Self {
-            name: format!("par-rewrite<{}>x{}", cut_params.cut_size, threads.max(1)),
-            cut_params,
-            objective,
-            threads: threads.max(1),
-            seed: PAR_REWRITE_SEED,
-        }
-    }
-
-    /// Overrides the load-balancing seed (scheduling only; results are
-    /// seed-independent).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The worker count this pass runs with.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Pass for ParRewrite {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(&self, xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
-        crate::shard::parallel_rewrite_round(
-            xag,
-            ctx,
-            &self.cut_params,
-            self.objective,
-            self.threads,
-            self.seed,
-            &self.name,
-        )
-    }
-
-    fn run_parallel(&self, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats {
-        crate::shard::parallel_rewrite_round(
-            xag,
-            ctx,
-            &self.cut_params,
-            self.objective,
-            threads.max(1),
-            self.seed,
             &self.name,
         )
     }
@@ -479,7 +231,7 @@ impl Pass for XorReduce {
         "xor-reduce"
     }
 
-    fn run(&self, xag: &mut Xag, _ctx: &mut OptContext) -> PassStats {
+    fn run_parallel(&self, xag: &mut Xag, _ctx: &mut OptContext, _threads: usize) -> PassStats {
         let _round = mc_obs::prof::phase("xor_reduce");
         // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
         let start = Instant::now();
@@ -517,7 +269,7 @@ impl Pass for Cleanup {
         "cleanup"
     }
 
-    fn run(&self, xag: &mut Xag, _ctx: &mut OptContext) -> PassStats {
+    fn run_parallel(&self, xag: &mut Xag, _ctx: &mut OptContext, _threads: usize) -> PassStats {
         let _round = mc_obs::prof::phase("cleanup");
         // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
         let start = Instant::now();

@@ -4,7 +4,9 @@
 //! policy. It can run the passes once, in order ([`Pipeline::run_once`]),
 //! or repeat them until the objective stops improving ([`Pipeline::run`]),
 //! which subsumes the cut-size alternation schedule the optimizer used
-//! before the pass refactor.
+//! before the pass refactor. This convergence loop is the only one: the
+//! [`crate::McOptimizer`] facade and the [`crate::FlowSpec`] interpreter
+//! both run their flows through it.
 //!
 //! # Examples
 //!
@@ -59,14 +61,16 @@ use xag_network::Xag;
 
 use crate::context::OptContext;
 use crate::pass::{McRewrite, Pass, PassStats, SizeRewrite, XorReduce};
-use crate::stats::{RewriteStats, RoundStats};
 use crate::{Objective, RewriteParams};
 
 /// An ordered list of passes with a convergence policy.
 ///
 /// See the [module documentation](self) for examples.
 pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
+    /// Each pass with its own worker count, if it has one (a `par{}`
+    /// block of a [`crate::FlowSpec`]); `None` runs it with the count the
+    /// pipeline is run with.
+    passes: Vec<(Box<dyn Pass>, Option<usize>)>,
     metric: Objective,
     max_rounds: usize,
 }
@@ -101,15 +105,14 @@ impl Pipeline {
 
     /// Appends a pass.
     #[allow(clippy::should_implement_trait)] // builder step, not arithmetic
-    pub fn add(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
+    pub fn add(self, pass: impl Pass + 'static) -> Self {
+        self.add_with_threads(Box::new(pass), None)
     }
 
-    /// Appends an already boxed pass (useful when building flows
-    /// dynamically).
-    pub fn add_boxed(mut self, pass: Box<dyn Pass>) -> Self {
-        self.passes.push(pass);
+    /// Appends a pass that runs with `threads` workers (when `Some`)
+    /// whatever count the pipeline is run with.
+    pub(crate) fn add_with_threads(mut self, pass: Box<dyn Pass>, threads: Option<usize>) -> Self {
+        self.passes.push((pass, threads));
         self
     }
 
@@ -132,7 +135,7 @@ impl Pipeline {
 
     /// The pass names, in flow order.
     pub fn pass_names(&self) -> Vec<&str> {
-        self.passes.iter().map(|p| p.name()).collect()
+        self.passes.iter().map(|(p, _)| p.name()).collect()
     }
 
     /// The paper's until-convergence flow: 4-feasible-cut rewriting
@@ -190,12 +193,7 @@ impl Pipeline {
         let passes = self
             .passes
             .iter()
-            .map(|pass| {
-                let _root = mc_obs::prof::phase("pipeline");
-                let stats = pass.run(xag, ctx);
-                crate::observe::pass_boundary(&stats);
-                stats
-            })
+            .map(|(pass, threads)| run_pass(pass.as_ref(), xag, ctx, threads.unwrap_or(1)))
             .collect();
         PipelineStats {
             passes,
@@ -213,34 +211,20 @@ impl Pipeline {
     /// paper's "repeat until convergence" loop with the small-cut-first
     /// schedule.
     pub fn run(&self, xag: &mut Xag, ctx: &mut OptContext) -> PipelineStats {
-        self.run_with_threads(xag, ctx, None)
+        self.run_parallel(xag, ctx, 1)
     }
 
     /// [`Pipeline::run`] with up to `threads` worker threads per pass.
     ///
-    /// Rewriting passes execute through the sharded propose/commit engine
-    /// (see [`crate::shard`]); passes without a parallel implementation
-    /// run sequentially. The convergence schedule is identical to
-    /// [`Pipeline::run`], and the optimized network is **bit-identical for
-    /// every thread count** — only wall-clock changes. Note that the
-    /// parallel engine's round semantics (propose against a frozen
-    /// snapshot, then commit) differ from the sequential in-place round,
-    /// so `run_parallel(.., 1)` and `run(..)` may converge to different —
-    /// equally valid — networks.
+    /// Rewriting passes spread their propose phase over the workers (see
+    /// [`crate::shard`]); the other passes run on the calling thread. The
+    /// optimized network is **bit-identical for every thread count** —
+    /// only wall-clock changes.
     pub fn run_parallel(
         &self,
         xag: &mut Xag,
         ctx: &mut OptContext,
         threads: usize,
-    ) -> PipelineStats {
-        self.run_with_threads(xag, ctx, Some(threads.max(1)))
-    }
-
-    fn run_with_threads(
-        &self,
-        xag: &mut Xag,
-        ctx: &mut OptContext,
-        threads: Option<usize>,
     ) -> PipelineStats {
         assert!(!self.passes.is_empty(), "cannot run an empty pipeline");
         let mut executed: Vec<PassStats> = Vec::new();
@@ -248,15 +232,8 @@ impl Pipeline {
         let mut phase = 0usize;
         let mut stale = 0usize;
         while executed.len() < self.max_rounds {
-            let pass = &self.passes[phase % self.passes.len()];
-            let stats = {
-                let _root = mc_obs::prof::phase("pipeline");
-                match threads {
-                    Some(t) => pass.run_parallel(xag, ctx, t),
-                    None => pass.run(xag, ctx),
-                }
-            };
-            crate::observe::pass_boundary(&stats);
+            let (pass, pinned) = &self.passes[phase % self.passes.len()];
+            let stats = run_pass(pass.as_ref(), xag, ctx, pinned.unwrap_or(threads));
             let improved = stats.improved(self.metric);
             executed.push(stats);
             if improved {
@@ -275,6 +252,22 @@ impl Pipeline {
             converged,
         }
     }
+}
+
+/// Runs one pass under the `pipeline` profiler phase and reports it at the
+/// instrumentation boundary.
+pub(crate) fn run_pass(
+    pass: &dyn Pass,
+    xag: &mut Xag,
+    ctx: &mut OptContext,
+    threads: usize,
+) -> PassStats {
+    let stats = {
+        let _root = mc_obs::prof::phase("pipeline");
+        pass.run_parallel(xag, ctx, threads.max(1))
+    };
+    crate::observe::pass_boundary(&stats);
+    stats
 }
 
 /// Statistics of a pipeline run: every executed pass, in order.
@@ -349,15 +342,6 @@ impl PipelineStats {
         }
         order
     }
-
-    /// Converts into the facade's [`RewriteStats`] (pass names are
-    /// dropped; each execution becomes one round).
-    pub fn into_rewrite_stats(self) -> RewriteStats {
-        RewriteStats {
-            rounds: self.passes.into_iter().map(RoundStats::from).collect(),
-            converged: self.converged,
-        }
-    }
 }
 
 impl core::fmt::Display for PipelineStats {
@@ -404,9 +388,7 @@ mod tests {
         assert_eq!(s.total_time(), Duration::ZERO);
         assert!((s.improvement_pct()).abs() < 1e-9);
         assert!(s.per_pass().is_empty());
-        let rw = s.into_rewrite_stats();
-        assert_eq!(rw.num_rounds(), 0);
-        assert!(!rw.converged);
+        assert!(s.to_string().contains("round limit"), "{s}");
     }
 
     #[test]
@@ -429,6 +411,14 @@ mod tests {
         assert_eq!(summary[1].name, "xor");
         assert_eq!(summary[1].runs, 1);
         assert_eq!(summary[1].ands_saved, 0);
+        assert_eq!(s.num_rounds(), 3);
+        assert_eq!((s.ands_before(), s.ands_after()), (10, 7));
+        assert!((s.improvement_pct() - 30.0).abs() < 1e-9);
+        let text = s.to_string();
+        assert!(
+            text.contains("10 → 7") && !text.contains("round limit"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -440,21 +430,11 @@ mod tests {
             converged: true,
         };
         assert_eq!(s.per_pass()[0].ands_saved, -4);
-        assert!(s.improvement_pct() < 0.0);
-    }
-
-    #[test]
-    fn into_rewrite_stats_preserves_rounds_and_convergence() {
-        let s = PipelineStats {
-            passes: vec![pass_stats("mc", 10, 8), pass_stats("mc", 8, 8)],
-            converged: true,
-        };
-        let rw = s.clone().into_rewrite_stats();
-        assert_eq!(rw.num_rounds(), 2);
-        assert!(rw.converged);
-        assert_eq!(rw.ands_before(), s.ands_before());
-        assert_eq!(rw.ands_after(), s.ands_after());
-        assert_eq!(rw.total_time(), s.total_time());
+        // One pass is both the first and the last: before/after read it.
+        assert_eq!((s.ands_before(), s.ands_after()), (5, 9));
+        assert_eq!(s.total_time(), Duration::from_millis(3));
+        assert!((s.improvement_pct() + 80.0).abs() < 1e-9);
+        assert!(s.to_string().contains("-80.0%"), "{s}");
     }
 }
 

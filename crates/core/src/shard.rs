@@ -1,4 +1,4 @@
-//! The parallel sharded rewriting engine.
+//! The rewriting engine: every cut-rewriting round runs here.
 //!
 //! The paper's cut-rewriting loop is embarrassingly parallel at the cut
 //! level: candidate cuts are classified, resynthesized, and evaluated
@@ -11,13 +11,14 @@
 //!    is grouped with the gate that consumes it, so each window is an
 //!    MFFC-style cluster that one rewrite is likely to touch as a whole.
 //!    Windows are packed into shards balanced by estimated cut work.
-//! 2. **Propose** — a worker pool on [`std::thread::scope`] claims shards
-//!    off a shared queue. Each worker owns a thread-local [`OptContext`]
-//!    fork and, for every root in its shards, evaluates all enumerated
-//!    cuts *read-only* against the frozen network, producing the best
-//!    [`Proposal`] per root. Because classification and synthesis are
-//!    deterministic, a proposal depends only on the frozen network — never
-//!    on which worker computed it or on cache state.
+//! 2. **Propose** — each root's enumerated cuts are evaluated *read-only*
+//!    against the frozen network, producing the best [`Proposal`] per
+//!    root. With one thread this runs inline on the caller's
+//!    [`OptContext`]; with more, a worker pool on [`std::thread::scope`]
+//!    claims shards off a shared queue, each worker on its own context
+//!    fork. Because classification and synthesis are deterministic, a
+//!    proposal depends only on the frozen network — never on which worker
+//!    computed it or on cache state.
 //! 3. **Commit** — back on one thread, proposals are applied in
 //!    topological order with full re-validation against the live network
 //!    (leaves alive, cut function unchanged, gain re-computed with exact
@@ -47,6 +48,10 @@ use crate::Objective;
 /// How many shards to cut the work into: a few per thread, so the shared
 /// queue can rebalance when windows have uneven rewrite cost.
 const SHARDS_PER_THREAD: usize = 4;
+
+/// Seed of the shard-claim shuffle. Fixed — never wall-clock — so runs are
+/// reproducible; it cannot affect results, only scheduling.
+const CLAIM_SEED: u64 = 0xDAC1_9DAC_19DA_C19D;
 
 /// One unit of proposal work: a topologically contiguous set of window
 /// roots with their member gates.
@@ -348,8 +353,8 @@ fn propose_shard(
 /// A proposal wins iff, *on the network as left by the previous winners*:
 /// its root and all leaves are still alive, the cut still computes the
 /// proposed function, the exact gain (MFFC dereferencing + hash-aware
-/// dry-run, identical to the sequential round) is still positive, and the
-/// substitution is acyclic. Everything else is rolled back to the arena
+/// dry-run on the live network) is still positive, and the substitution
+/// is acyclic. Everything else is rolled back to the arena
 /// watermark recorded before instantiation.
 fn commit_proposals(xag: &mut Xag, mut proposals: Vec<Proposal>, objective: Objective) -> usize {
     proposals.sort_by_key(|p| p.pos);
@@ -390,24 +395,32 @@ fn commit_proposals(xag: &mut Xag, mut proposals: Vec<Proposal>, objective: Obje
     applied
 }
 
-/// One parallel rewriting round: shard, propose on `threads` workers,
-/// commit deterministically. With `threads <= 1` the proposal phase runs
-/// inline on the caller's context; results are bit-identical either way.
-#[allow(clippy::too_many_arguments)]
+/// Counts `(AND, XOR)` gates of a topological order in one walk, instead of
+/// two full `num_ands`/`num_xors` DFS passes.
+fn count_gates(xag: &Xag, order: &[NodeId]) -> (usize, usize) {
+    let ands = order
+        .iter()
+        .filter(|&&n| xag.kind(n) == NodeKind::And)
+        .count();
+    (ands, order.len() - ands)
+}
+
+/// One rewriting round: shard, propose on `threads` workers, commit
+/// deterministically. With `threads <= 1` the proposal phase runs inline
+/// on the caller's context; results are bit-identical either way.
 pub(crate) fn parallel_rewrite_round(
     xag: &mut Xag,
     ctx: &mut OptContext,
     cut_params: &CutParams,
     objective: Objective,
     threads: usize,
-    seed: u64,
     pass_name: &str,
 ) -> PassStats {
     let _round = mc_obs::prof::phase("par_rewrite");
     // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
     let start = Instant::now();
     let order = xag.live_gates();
-    let (ands_before, xors_before) = crate::pass::count_gates(xag, &order);
+    let (ands_before, xors_before) = count_gates(xag, &order);
 
     let sets = {
         let _p = mc_obs::prof::phase("cut_enum");
@@ -445,25 +458,27 @@ pub(crate) fn parallel_rewrite_round(
         // Claim order is shuffled (seeded) so long windows spread across
         // workers; the claim order cannot affect results, only wall-clock.
         let mut claim: Vec<usize> = (0..shards.len()).collect();
-        Rng::seed_from_u64(seed).shuffle(&mut claim);
+        Rng::seed_from_u64(CLAIM_SEED).shuffle(&mut claim);
         let next = AtomicUsize::new(0);
         let frozen: &Xag = xag;
-        // Trace IDs live in a thread-local; carry the round's ID into the
-        // scoped workers so their propose spans join the job's trace.
+        // Trace IDs and phase stacks live in thread-locals; carry the
+        // round's trace ID and phase path into the scoped workers so their
+        // propose spans join the job's trace and their propose phases fold
+        // to the same path as an inline round's.
         let trace_id = mc_obs::current_trace_id();
+        let stack = mc_obs::prof::current_stack();
         let (all, forks) = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads.min(shards.len()))
                 .map(|_| {
                     let mut wctx = ctx.fork();
-                    let (claim, next, shards, sets, pos) = (&claim, &next, &shards, &sets, &pos);
+                    let (claim, next, shards, sets, pos, stack) =
+                        (&claim, &next, &shards, &sets, &pos, &stack);
                     s.spawn(move || {
                         let _trace = mc_obs::trace_scope(trace_id);
-                        // The worker's own phase stack roots at the round
-                        // name, so its per-shard propose phases fold to the
-                        // same `par_rewrite;propose` path the inline run
-                        // produces — and flush once per worker, not per
-                        // shard, when the root guard drops.
-                        let _round = mc_obs::prof::phase("par_rewrite");
+                        // The adopted prefix also keeps the worker's stack
+                        // non-empty, so its phases flush once per worker,
+                        // not once per shard.
+                        let _stack = mc_obs::prof::adopt_stack(stack);
                         let mut mine: Vec<(usize, Vec<Proposal>, usize)> = Vec::new();
                         loop {
                             // Schedule-fuzz crossing: inert in production
@@ -673,7 +688,6 @@ mod tests {
                 &CutParams::default(),
                 Objective::MultiplicativeComplexity,
                 2,
-                0xDAC19,
                 "par-test",
             );
             assert!(xag.num_ands() <= before);
@@ -696,7 +710,6 @@ mod tests {
                     &CutParams::default(),
                     Objective::MultiplicativeComplexity,
                     threads,
-                    0xDAC19,
                     "par-test",
                 );
                 let clean = xag.cleanup();

@@ -10,6 +10,12 @@
 //! empties — once per pass, not once per phase — so the global lock never
 //! shows up in a profile of the profiler.
 //!
+//! A worker thread starts with an empty stack. A thread that fans work
+//! out hands its path over with [`current_stack`]; the worker re-opens it
+//! with [`adopt_stack`], so the worker's phases fold under the same path
+//! as work done inline, while the adopted frames record no time of their
+//! own (the owning thread already times them).
+//!
 //! The overhead budget is the design constraint everything here serves:
 //! phases are entered at pass, round, shard, or node granularity — never
 //! per cut — and one enter/exit is two `Instant` reads plus a stack
@@ -52,6 +58,9 @@ struct Frame {
     name: &'static str,
     start: Instant,
     child_us: u64,
+    /// Adopted from another thread ([`adopt_stack`]): keys child paths,
+    /// records nothing itself.
+    adopted: bool,
 }
 
 #[derive(Default)]
@@ -128,6 +137,7 @@ pub fn phase(name: &'static str) -> PhaseGuard {
                 name,
                 start: Instant::now(),
                 child_us: 0,
+                adopted: false,
             });
             true
         })
@@ -166,6 +176,70 @@ impl Drop for PhaseGuard {
             t.count += 1;
             t.total_us += total_us;
             t.self_us += self_us;
+            if local.stack.is_empty() {
+                local.flush();
+            }
+        });
+    }
+}
+
+/// The calling thread's open phases, outermost first — to hand to the
+/// worker threads it spawns (see [`adopt_stack`]).
+pub fn current_stack() -> Vec<&'static str> {
+    LOCAL
+        .try_with(|local| local.borrow().stack.iter().map(|f| f.name).collect())
+        .unwrap_or_default()
+}
+
+/// Re-opens `stack` on the calling thread — a worker that has no phases
+/// of its own yet — so the phases it enters fold under the path of the
+/// thread that captured `stack`. The adopted frames record neither counts
+/// nor time: the capturing thread already times them. The returned guard
+/// closes them again (and flushes the worker's table once its stack is
+/// empty).
+pub fn adopt_stack(stack: &[&'static str]) -> AdoptGuard {
+    if !enabled() {
+        return AdoptGuard { depth: 0 };
+    }
+    let depth = LOCAL
+        .try_with(|local| {
+            let mut local = local.borrow_mut();
+            let depth = stack.len().min(MAX_DEPTH - local.stack.len());
+            let start = Instant::now();
+            for &name in &stack[..depth] {
+                local.stack.push(Frame {
+                    name,
+                    start,
+                    child_us: 0,
+                    adopted: true,
+                });
+            }
+            depth
+        })
+        .unwrap_or(0);
+    AdoptGuard { depth }
+}
+
+/// RAII guard for an adopted phase stack. See [`adopt_stack`].
+#[must_use = "the adopted phases stay open until the guard drops"]
+pub struct AdoptGuard {
+    depth: usize,
+}
+
+impl Drop for AdoptGuard {
+    fn drop(&mut self) {
+        if self.depth == 0 {
+            return;
+        }
+        let _ = LOCAL.try_with(|local| {
+            let mut local = local.borrow_mut();
+            for _ in 0..self.depth {
+                let frame = local.stack.pop();
+                debug_assert!(
+                    frame.is_some_and(|f| f.adopted),
+                    "adopted stack closed under an open phase"
+                );
+            }
             if local.stack.is_empty() {
                 local.flush();
             }
@@ -295,6 +369,28 @@ mod tests {
         .join()
         .expect("worker");
         assert_eq!(stat("t_worker").expect("flushed").count, 1);
+    }
+
+    #[test]
+    fn adopted_stacks_prefix_worker_paths_without_counting_twice() {
+        let _guard = test_lock();
+        reset();
+        {
+            let _outer = phase("t_adopt_root");
+            let stack = current_stack();
+            std::thread::spawn(move || {
+                let _stack = adopt_stack(&stack);
+                let _p = phase("t_adopt_leaf");
+                std::thread::sleep(Duration::from_millis(2));
+            })
+            .join()
+            .expect("worker");
+        }
+        let leaf = stat("t_adopt_root;t_adopt_leaf").expect("leaf under the caller's path");
+        assert_eq!(leaf.count, 1);
+        assert!(leaf.total_us >= 2_000, "{leaf:?}");
+        assert!(stat("t_adopt_leaf").is_none(), "no second tree");
+        assert_eq!(stat("t_adopt_root").expect("root").count, 1);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use xag_circuits::{parse_circuit, CircuitFormat};
-use xag_mc::{run_job, FlowKind, JobSpec, OptContext};
+use xag_mc::{run_job, FlowSpec, JobSpec, OptContext};
 use xag_network::{write_bristol, write_verilog, Xag};
 
 use crate::cache::{job_key, CacheEntry};
@@ -136,12 +136,19 @@ impl ServiceStats {
     fn new() -> Self {
         Self {
             jobs_served: 0,
-            per_flow: FlowKind::ALL
-                .iter()
-                .map(|f| (f.spec().normalized(), (0, 0)))
-                .collect(),
+            per_flow: canonical_flow_rows(),
         }
     }
+}
+
+/// Zero-filled per-flow rows for the canonical named flows, keyed by
+/// normalized spec.
+fn canonical_flow_rows() -> BTreeMap<String, (u64, u64)> {
+    FlowSpec::aliases()
+        .iter()
+        .filter_map(|(name, _)| FlowSpec::named(name))
+        .map(|spec| (spec.normalized(), (0, 0)))
+        .collect()
 }
 
 pub(crate) struct Shared {
@@ -181,10 +188,7 @@ impl Shared {
         // breakdown complete for the router and `serve_bench`; rows are
         // keyed by normalized spec, so alias and expansion submissions
         // aggregate into one row (custom specs get their own).
-        let mut per_flow: BTreeMap<String, (u64, u64)> = FlowKind::ALL
-            .iter()
-            .map(|f| (f.spec().normalized(), (0, 0)))
-            .collect();
+        let mut per_flow = canonical_flow_rows();
         for (flow, &counts) in &stats.per_flow {
             per_flow.insert(flow.clone(), counts);
         }

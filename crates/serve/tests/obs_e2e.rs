@@ -1,8 +1,10 @@
 //! End-to-end observability: one job traced through the daemon under a
 //! single client-supplied trace ID, then read back over the wire via
-//! the `metrics` and `trace-dump` frames.
+//! the `metrics` and `trace-dump` frames; and the phase profile of a
+//! multi-thread job read back via the `prof-dump` frame.
 
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server};
+use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::{write_bristol, Xag};
 
 fn two_and_circuit() -> String {
@@ -71,6 +73,50 @@ fn one_job_is_traced_end_to_end_under_one_trace_id() {
     assert!(
         hit_events.iter().any(|e| e.span == "serve:cache_hit"),
         "cache hit not traced: {hit_events:?}"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// One phase tree across threads: the propose phases of a 2-thread job's
+/// workers fold under the job's `pipeline;par_rewrite` path. A second
+/// tree rooted at `par_rewrite` would list `propose` twice in the profile.
+#[test]
+fn multi_thread_job_records_one_phase_tree() {
+    let handle = Server::bind(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+
+    // Wide enough that a round splits into several shards, so the
+    // proposals really run on worker threads.
+    let config = FuzzConfig {
+        inputs: 16,
+        gates: 400,
+        outputs: 16,
+        ..FuzzConfig::default()
+    };
+    let mut text = Vec::new();
+    write_bristol(&random_xag(&config, 7).cleanup(), &mut text).unwrap();
+    let request = OptimizeRequest {
+        circuit: String::from_utf8(text).unwrap(),
+        threads: 2,
+        ..OptimizeRequest::default()
+    };
+    assert!(!client.optimize(request).unwrap().cached);
+
+    let paths: Vec<String> = client
+        .prof_dump()
+        .unwrap()
+        .into_iter()
+        .map(|p| p.path)
+        .collect();
+    assert!(
+        paths.iter().any(|p| p == "pipeline;par_rewrite;propose"),
+        "no propose phase under the job's path: {paths:?}"
+    );
+    assert!(
+        !paths.iter().any(|p| p.starts_with("par_rewrite;")),
+        "worker phases started a second tree: {paths:?}"
     );
 
     client.shutdown().unwrap();

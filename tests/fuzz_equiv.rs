@@ -2,7 +2,7 @@
 //!
 //! In the spirit of sampler-testing oracles: instead of trusting the
 //! rewriting engine because its unit tests pass, drive every `Pipeline`
-//! flow — sequential and parallel — with a stream of seeded random
+//! flow — on one worker thread and on several — with a stream of seeded random
 //! networks and check each result against the `equiv` oracle. All
 //! networks stay within the exhaustive range of the oracle, so a pass
 //! here is a proof of functional preservation for every generated case,
@@ -12,7 +12,7 @@
 //! so a failure in CI replays locally from the log.
 
 use mc_repro::mc::flow::sample_spec_text;
-use mc_repro::mc::{Cleanup, FlowSpec, McRewrite, OptContext, ParRewrite, Pipeline, XorReduce};
+use mc_repro::mc::{Cleanup, FlowSpec, McRewrite, OptContext, Pipeline, XorReduce};
 use mc_repro::network::fuzz::{random_xag, FuzzConfig};
 use mc_repro::network::{equiv_exhaustive, write_bristol, Xag};
 
@@ -40,7 +40,7 @@ fn network(seed: u64) -> Xag {
     random_xag(&cfg, seed)
 }
 
-fn check_flow(name: &str, make_flow: impl Fn() -> Pipeline, parallel_threads: Option<usize>) {
+fn check_flow(name: &str, make_flow: impl Fn() -> Pipeline, threads: usize) {
     let mut ctx = OptContext::new();
     let flow = make_flow();
     let base = base_seed();
@@ -48,10 +48,7 @@ fn check_flow(name: &str, make_flow: impl Fn() -> Pipeline, parallel_threads: Op
         let seed = base.wrapping_add(i as u64);
         let mut xag = network(seed);
         let reference = xag.cleanup();
-        match parallel_threads {
-            Some(t) => flow.run_parallel(&mut xag, &mut ctx, t),
-            None => flow.run(&mut xag, &mut ctx),
-        };
+        flow.run_parallel(&mut xag, &mut ctx, threads);
         assert!(
             equiv_exhaustive(&reference, &xag.cleanup()),
             "flow {name} broke equivalence on fuzz seed {seed}"
@@ -61,12 +58,12 @@ fn check_flow(name: &str, make_flow: impl Fn() -> Pipeline, parallel_threads: Op
 
 #[test]
 fn paper_flow_preserves_function_on_random_networks() {
-    check_flow("paper", Pipeline::paper_flow, None);
+    check_flow("paper", Pipeline::paper_flow, 1);
 }
 
 #[test]
 fn compress_flow_preserves_function_on_random_networks() {
-    check_flow("compress", Pipeline::compress, None);
+    check_flow("compress", Pipeline::compress, 1);
 }
 
 #[test]
@@ -79,26 +76,26 @@ fn custom_flow_preserves_function_on_random_networks() {
                 .add(XorReduce::new())
                 .add(Cleanup::new())
         },
-        None,
+        1,
     );
 }
 
 #[test]
 fn parallel_paper_flow_preserves_function_on_random_networks() {
-    check_flow("paper(3 threads)", Pipeline::paper_flow, Some(3));
+    check_flow("paper(3 threads)", Pipeline::paper_flow, 3);
 }
 
 #[test]
 fn parallel_pass_flow_preserves_function_on_random_networks() {
     check_flow(
-        "par-rewrite pass",
+        "mc;xor;cleanup(2 threads)",
         || {
             Pipeline::new()
-                .add(ParRewrite::new(2))
+                .add(McRewrite::new())
                 .add(XorReduce::new())
                 .add(Cleanup::new())
         },
-        None,
+        2,
     );
 }
 

@@ -16,10 +16,8 @@
 //! thread-count determinism have their own suites (`fuzz_equiv.rs`,
 //! `parallel.rs`).
 
-// Note: the goldens pin the *sequential* flow. `Pipeline::run_parallel`
-// uses propose/commit round semantics that may converge to a different —
-// equally valid — network, so it is pinned separately: bit-identical
-// across thread counts by `tests/parallel.rs`.
+// Note: the goldens pin the single-thread run; `tests/parallel.rs` pins
+// that every thread count produces the same bytes.
 
 use mc_repro::mc::{OptContext, Pipeline};
 use mc_repro::network::fuzz::{random_xag, FuzzConfig};

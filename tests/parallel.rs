@@ -6,7 +6,7 @@
 
 use mc_repro::circuits::arith::{add_ripple, input_word, output_word};
 use mc_repro::circuits::keccak::keccak_f;
-use mc_repro::mc::{McOptimizer, OptContext, ParRewrite, Pass, Pipeline, RewriteParams};
+use mc_repro::mc::{McOptimizer, McRewrite, OptContext, Pass, Pipeline, RewriteParams};
 use mc_repro::network::fuzz::{random_xag, FuzzConfig};
 use mc_repro::network::{equiv_exhaustive, write_verilog, Signal, Xag};
 
@@ -98,15 +98,12 @@ fn adder_optimum_is_reached_identically_at_every_thread_count() {
             ..RewriteParams::default()
         });
         opt.run_to_convergence(&mut xag);
-        results.push((xag.num_ands(), netlist(&xag)));
+        assert_eq!(xag.num_ands(), 8, "{threads} threads: n-bit adder has MC n");
         assert!(equiv_exhaustive(&build(), &xag.cleanup()));
+        results.push(netlist(&xag));
     }
-    // threads == 1 takes the sequential path, > 1 the sharded engine; the
-    // parallel results must agree with each other bit for bit, and both
-    // paths must reach the known optimum.
-    assert_eq!(results[1], results[2], "2 vs 4 threads");
-    assert_eq!(results[0].0, 8, "sequential: n-bit adder has MC n");
-    assert_eq!(results[1].0, 8, "parallel: n-bit adder has MC n");
+    assert_eq!(results[0], results[1], "1 vs 2 threads");
+    assert_eq!(results[0], results[2], "1 vs 4 threads");
 }
 
 #[test]
@@ -119,7 +116,7 @@ fn keccak_round_function_rewrites_identically_across_thread_counts() {
     for threads in [1usize, 2, 4] {
         let mut xag = base.cleanup();
         let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(threads).run(&mut xag, &mut ctx);
+        let stats = McRewrite::new().run_parallel(&mut xag, &mut ctx, threads);
         assert_eq!(stats.ands_after, xag.num_ands());
         texts.push(netlist(&xag));
     }
