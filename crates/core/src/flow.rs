@@ -97,7 +97,8 @@ use xag_network::Xag;
 
 use crate::context::OptContext;
 use crate::pass::{Cleanup, McRewrite, Pass, PassStats, SizeRewrite, XorReduce};
-use crate::pipeline::{run_pass, Pipeline, PipelineStats};
+use crate::pipeline::{run_pass, Pipeline};
+use crate::stats::PipelineStats;
 use crate::Objective;
 
 /// Longest accepted spec text, in bytes — enforced on the raw input
@@ -289,6 +290,24 @@ fn alias_item(name: &str) -> Option<FlowItem> {
 
 fn alias_spec(name: &str) -> Option<FlowSpec> {
     alias_item(name).map(|item| FlowSpec { items: vec![item] })
+}
+
+/// The library [`Pipeline`] each alias names, for tests that check the
+/// two stay the same flow.
+#[cfg(test)]
+pub(crate) fn library_pipeline(alias: &str) -> Pipeline {
+    match alias {
+        "paper" => Pipeline::paper_flow(),
+        "compress" => Pipeline::compress(),
+        "from_params" => Pipeline::from_params(&crate::RewriteParams {
+            cut_params: xag_cuts::CutParams {
+                cut_size: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        }),
+        _ => panic!("no library pipeline for {alias}"),
+    }
 }
 
 impl FlowSpec {
@@ -1182,6 +1201,26 @@ mod tests {
         // their actual repetition.
         let spec = FlowSpec::parse("{mc(cut=4);mc(cut=6)}*").unwrap();
         assert_eq!(spec.worst_case_passes(), 2);
+    }
+
+    #[test]
+    fn alias_pipelines_match_the_flowkind_flows() {
+        // Each named flow executes the same passes, in the same order and
+        // with the same stopping round, as its library pipeline.
+        let executed = |stats: PipelineStats| -> Vec<String> {
+            stats.passes.into_iter().map(|p| p.pass).collect()
+        };
+        for (name, _) in FlowSpec::aliases() {
+            let spec = FlowSpec::named(name).unwrap();
+            let ours = executed(spec.run(&mut full_adder(), &mut OptContext::new(), 1, 100));
+            let theirs = executed(
+                library_pipeline(name)
+                    .max_rounds(100)
+                    .run(&mut full_adder(), &mut OptContext::new()),
+            );
+            assert!(!ours.is_empty(), "{name}");
+            assert_eq!(ours, theirs, "{name}");
+        }
     }
 
     #[test]

@@ -139,7 +139,6 @@ pub fn run_job(xag: &mut Xag, ctx: &mut OptContext, spec: &JobSpec) -> JobResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Pipeline;
     use xag_network::{equiv_exhaustive, write_verilog};
 
     fn redundant_network() -> Xag {
@@ -213,19 +212,9 @@ mod tests {
     /// job — by alias and by its written-out expansion — yields the
     /// netlist of the library pipeline of the same name.
     #[test]
-    fn alias_flows_match_their_pipelines_byte_for_byte() {
+    fn flowkind_flows_match_their_spec_expansions_byte_for_byte() {
         for (name, expansion) in FlowSpec::aliases() {
-            let pipeline = match *name {
-                "paper" => Pipeline::paper_flow(),
-                "compress" => Pipeline::compress(),
-                _ => Pipeline::from_params(&crate::RewriteParams {
-                    cut_params: xag_cuts::CutParams {
-                        cut_size: 4,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                }),
-            };
+            let pipeline = crate::flow::library_pipeline(name);
             let via_pipeline = {
                 let mut xag = redundant_network();
                 pipeline.run(&mut xag, &mut OptContext::new());

@@ -110,6 +110,7 @@ mod observe;
 mod pass;
 mod pipeline;
 pub mod shard;
+mod stats;
 mod xor_reduce;
 
 pub use canon::{canonical_form, fingerprint, job_key};
@@ -118,8 +119,9 @@ pub use cost::{protocol_costs, ProtocolCosts};
 pub use flow::{FlowError, FlowItem, FlowSpec, FlowUnit, Repeat};
 pub use job::{run_job, JobResult, JobSpec};
 pub use pass::{Cleanup, McRewrite, Pass, PassStats, SizeRewrite, XorReduce};
-pub use pipeline::{PassSummary, Pipeline, PipelineStats};
+pub use pipeline::Pipeline;
 pub use shard::{partition_windows, Shard};
+pub use stats::{PassSummary, PipelineStats};
 pub use xor_reduce::reduce_xors;
 
 /// What the rewriter minimizes.

@@ -54,13 +54,12 @@
 //! assert_eq!(stats.passes.len(), 3);
 //! ```
 
-use std::time::Duration;
-
 use xag_cuts::CutParams;
 use xag_network::Xag;
 
 use crate::context::OptContext;
 use crate::pass::{McRewrite, Pass, PassStats, SizeRewrite, XorReduce};
+use crate::stats::PipelineStats;
 use crate::{Objective, RewriteParams};
 
 /// An ordered list of passes with a convergence policy.
@@ -270,98 +269,10 @@ pub(crate) fn run_pass(
     stats
 }
 
-/// Statistics of a pipeline run: every executed pass, in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Per-execution statistics, in execution order.
-    pub passes: Vec<PassStats>,
-    /// True iff [`Pipeline::run`] stopped because no pass improved the
-    /// metric anymore (as opposed to hitting the round cap; always false
-    /// for [`Pipeline::run_once`]).
-    pub converged: bool,
-}
-
-impl PipelineStats {
-    /// Number of pass executions.
-    pub fn num_rounds(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// AND count before the first pass.
-    pub fn ands_before(&self) -> usize {
-        self.passes.first().map(|r| r.ands_before).unwrap_or(0)
-    }
-
-    /// AND count after the last pass.
-    pub fn ands_after(&self) -> usize {
-        self.passes.last().map(|r| r.ands_after).unwrap_or(0)
-    }
-
-    /// Total wall-clock time across passes.
-    pub fn total_time(&self) -> Duration {
-        self.passes.iter().map(|r| r.elapsed).sum()
-    }
-
-    /// Overall AND improvement, in percent (negative if a flow traded
-    /// ANDs up, which Size-objective flows may).
-    pub fn improvement_pct(&self) -> f64 {
-        let before = self.ands_before();
-        if before == 0 {
-            0.0
-        } else {
-            100.0 * (before as f64 - self.ands_after() as f64) / before as f64
-        }
-    }
-
-    /// Accumulates the statistics per pass name, in first-execution order
-    /// — the per-pass breakdown of a flow.
-    pub fn per_pass(&self) -> Vec<PassSummary> {
-        let mut order: Vec<PassSummary> = Vec::new();
-        for s in &self.passes {
-            let entry = match order.iter_mut().find(|e| e.name == s.pass) {
-                Some(entry) => entry,
-                None => {
-                    order.push(PassSummary {
-                        name: s.pass.clone(),
-                        runs: 0,
-                        ands_saved: 0,
-                        xors_saved: 0,
-                        rewrites_applied: 0,
-                        cuts_considered: 0,
-                        elapsed: Duration::ZERO,
-                    });
-                    order.last_mut().expect("just pushed")
-                }
-            };
-            entry.runs += 1;
-            entry.ands_saved += s.ands_before as i64 - s.ands_after as i64;
-            entry.xors_saved += s.xors_before as i64 - s.xors_after as i64;
-            entry.rewrites_applied += s.rewrites_applied;
-            entry.cuts_considered += s.cuts_considered;
-            entry.elapsed += s.elapsed;
-        }
-        order
-    }
-}
-
-impl core::fmt::Display for PipelineStats {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{} rounds, AND {} → {} ({:.1}% improvement), {:.2}s{}",
-            self.num_rounds(),
-            self.ands_before(),
-            self.ands_after(),
-            self.improvement_pct(),
-            self.total_time().as_secs_f64(),
-            if self.converged { "" } else { " (round limit)" }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn pass_stats(name: &str, before: usize, after: usize) -> PassStats {
         PassStats {
@@ -388,7 +299,6 @@ mod tests {
         assert_eq!(s.total_time(), Duration::ZERO);
         assert!((s.improvement_pct()).abs() < 1e-9);
         assert!(s.per_pass().is_empty());
-        assert!(s.to_string().contains("round limit"), "{s}");
     }
 
     #[test]
@@ -411,14 +321,6 @@ mod tests {
         assert_eq!(summary[1].name, "xor");
         assert_eq!(summary[1].runs, 1);
         assert_eq!(summary[1].ands_saved, 0);
-        assert_eq!(s.num_rounds(), 3);
-        assert_eq!((s.ands_before(), s.ands_after()), (10, 7));
-        assert!((s.improvement_pct() - 30.0).abs() < 1e-9);
-        let text = s.to_string();
-        assert!(
-            text.contains("10 → 7") && !text.contains("round limit"),
-            "{text}"
-        );
     }
 
     #[test]
@@ -430,30 +332,6 @@ mod tests {
             converged: true,
         };
         assert_eq!(s.per_pass()[0].ands_saved, -4);
-        // One pass is both the first and the last: before/after read it.
-        assert_eq!((s.ands_before(), s.ands_after()), (5, 9));
-        assert_eq!(s.total_time(), Duration::from_millis(3));
-        assert!((s.improvement_pct() + 80.0).abs() < 1e-9);
-        assert!(s.to_string().contains("-80.0%"), "{s}");
+        assert!(s.improvement_pct() < 0.0);
     }
-}
-
-/// Accumulated statistics of all executions of one pass in a flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassSummary {
-    /// The pass name.
-    pub name: String,
-    /// How many times the pass executed.
-    pub runs: usize,
-    /// Net AND gates removed across all executions (negative if the pass
-    /// added ANDs).
-    pub ands_saved: i64,
-    /// Net XOR gates removed across all executions.
-    pub xors_saved: i64,
-    /// Total applied changes.
-    pub rewrites_applied: usize,
-    /// Total cut candidates evaluated.
-    pub cuts_considered: usize,
-    /// Total wall-clock time.
-    pub elapsed: Duration,
 }
