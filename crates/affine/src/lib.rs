@@ -39,7 +39,7 @@
 //! assert_eq!(AffineOp::apply_all(Tt::from_bits(0xe8, 3), &maj.ops), maj.representative);
 //! ```
 
-use xag_tt::hash::FxHashMap;
+use xag_tt::hash::SharedMap;
 use xag_tt::{AffineOp, Tt};
 
 mod beam;
@@ -86,15 +86,17 @@ impl Default for ClassifyConfig {
     }
 }
 
-/// Affine classifier with a per-instance memoization cache.
+/// Affine classifier with a memoization cache.
 ///
 /// The cache mirrors the paper's §4.1: "we maintain a cache of computed
 /// representatives and affine operations for all considered Boolean
-/// functions during rewriting", so no function is classified twice.
+/// functions during rewriting", so no function is classified twice. It is
+/// a [`SharedMap`]: forks read their parent's entries instead of copying
+/// them.
 #[derive(Debug, Clone, Default)]
 pub struct AffineClassifier {
     config: ClassifyConfig,
-    cache: FxHashMap<Tt, Classification>,
+    cache: SharedMap<Tt, Classification>,
     hits: u64,
     misses: u64,
 }
@@ -161,10 +163,11 @@ impl AffineClassifier {
         (self.hits, self.misses)
     }
 
-    /// Clones the classifier for a worker thread: the fork keeps the whole
-    /// memoization cache but starts its hit/miss statistics at zero, so a
-    /// later [`AffineClassifier::absorb`] adds exactly the work the fork
-    /// did (instead of double-counting the parent's history).
+    /// Clones the classifier for a worker thread: the fork shares the
+    /// memoization cache (copying only the parent's unshared delta) and
+    /// starts its hit/miss statistics at zero, so a later
+    /// [`AffineClassifier::absorb`] adds exactly the work the fork did
+    /// (instead of double-counting the parent's history).
     pub fn fork(&self) -> AffineClassifier {
         AffineClassifier {
             config: self.config,
@@ -174,15 +177,13 @@ impl AffineClassifier {
         }
     }
 
-    /// Merges a fork's memoized results into this classifier. Both compute
-    /// identical results for identical inputs (the search is
+    /// Merges the results a fork memoized back into this classifier. Both
+    /// compute identical results for identical inputs (the search is
     /// deterministic), so merge order does not matter; existing entries
     /// are kept. Used to fold worker-local classifiers back into a shared
     /// one after a parallel rewriting round.
     pub fn absorb(&mut self, other: AffineClassifier) {
-        for (f, c) in other.cache {
-            self.cache.entry(f).or_insert(c);
-        }
+        self.cache.absorb(other.cache);
         self.hits = self.hits.saturating_add(other.hits);
         self.misses = self.misses.saturating_add(other.misses);
     }

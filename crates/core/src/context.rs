@@ -4,17 +4,28 @@
 use xag_affine::{AffineClassifier, ClassifyConfig};
 use xag_network::XagFragment;
 use xag_synth::{SynthConfig, Synthesizer};
-use xag_tt::hash::FxHashMap;
+use xag_tt::hash::SharedMap;
 use xag_tt::Tt;
 
+/// Most cut functions the candidate memo stores. Optimizing the paper's
+/// largest rows meets a few thousand distinct functions; past this many,
+/// candidates are still built, just not kept, which bounds a long-running
+/// daemon's memo at a few tens of megabytes.
+const MEMO_CAPACITY: usize = 1 << 16;
+
 /// The state every optimization pass shares: the affine classifier, the
-/// synthesis engine, and the `XAG_DB` of the paper (representative truth
-/// table → low-AND circuit), synthesized on demand and cached.
+/// synthesis engine, the `XAG_DB` of the paper (representative truth
+/// table → low-AND circuit), synthesized on demand and cached, and a memo
+/// of finished replacement circuits per cut function.
 ///
 /// One context is meant to outlive many passes *and many networks*: a
 /// representative synthesized while rewriting one benchmark is reused by
 /// every later pass and benchmark, so the database amortizes exactly like
 /// the paper's precomputed one (DESIGN.md §3).
+///
+/// Every table is a [`SharedMap`]: a read-only layer behind an `Arc` plus a
+/// small delta, so [`OptContext::fork`] and `Clone` share the tables
+/// instead of copying them.
 ///
 /// # Examples
 ///
@@ -29,12 +40,20 @@ use xag_tt::Tt;
 /// assert_eq!(frag.eval_tt(), maj);
 /// assert_eq!(ctx.db_size(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OptContext {
     classifier: AffineClassifier,
     synth: Synthesizer,
     /// The `XAG_DB` of the paper: representative truth table → circuit.
-    db: FxHashMap<Tt, XagFragment>,
+    db: SharedMap<Tt, XagFragment>,
+    /// Algorithm 1's output per cut function: the replacement circuit.
+    memo: SharedMap<Tt, XagFragment>,
+}
+
+impl Default for OptContext {
+    fn default() -> Self {
+        Self::with_config(ClassifyConfig::default(), SynthConfig::default())
+    }
 }
 
 impl OptContext {
@@ -49,7 +68,8 @@ impl OptContext {
         Self {
             classifier: AffineClassifier::with_config(classify),
             synth: Synthesizer::with_config(synth),
-            db: FxHashMap::default(),
+            db: SharedMap::new(),
+            memo: SharedMap::bounded(MEMO_CAPACITY),
         }
     }
 
@@ -58,9 +78,10 @@ impl OptContext {
         self.db.len()
     }
 
-    /// Clones the context for a worker thread: the fork starts with all of
-    /// this context's memoized state, so representatives synthesized before
-    /// the parallel region stay amortized inside it.
+    /// Clones the context for a worker thread: the fork reads all of this
+    /// context's memoized state through the shared layers and copies only
+    /// the unshared deltas, so a fork costs the same however large the
+    /// tables have grown.
     ///
     /// Classification and synthesis are deterministic, so a fork produces
     /// the same candidate for the same cut function as its parent — cache
@@ -72,16 +93,18 @@ impl OptContext {
             classifier: self.classifier.fork(),
             synth: self.synth.fork(),
             db: self.db.clone(),
+            memo: self.memo.clone(),
         }
     }
 
-    /// Merges a fork's state back: database entries, classification cache,
-    /// and synthesis cache discovered by the worker are kept; entries the
-    /// parent already has win ties (they are equal anyway, by determinism).
+    /// Merges back what a fork added: candidates, database entries,
+    /// classifications and synthesized functions; entries the parent
+    /// already has win ties (they are equal anyway, by determinism). Once
+    /// the parent holds the only reference to a table, its delta is folded
+    /// into the shared layer in place.
     pub fn absorb(&mut self, fork: OptContext) {
-        for (tt, frag) in fork.db {
-            self.db.entry(tt).or_insert(frag);
-        }
+        self.memo.absorb(fork.memo);
+        self.db.absorb(fork.db);
         self.classifier.absorb(fork.classifier);
         self.synth.absorb(fork.synth);
     }
@@ -90,7 +113,7 @@ impl OptContext {
     /// sorted by AND count — the shape the paper reports for `XAG_DB`.
     pub fn db_histogram(&self) -> Vec<(usize, usize)> {
         let mut hist = std::collections::BTreeMap::new();
-        for frag in self.db.values() {
+        for (_, frag) in self.db.iter() {
             *hist.entry(frag.num_ands()).or_insert(0usize) += 1;
         }
         hist.into_iter().collect()
@@ -100,34 +123,170 @@ impl OptContext {
     /// function — classify, look the representative up in the database
     /// (synthesizing on a miss), then replay the affine operations.
     pub fn candidate_for_cut(&mut self, tt: Tt) -> XagFragment {
+        self.with_candidate(tt, XagFragment::clone)
+    }
+
+    /// Runs `inspect` on the replacement circuit for `tt`. A memoized
+    /// function costs one lookup and no allocation; a new one is built by
+    /// Algorithm 1 and memoized while the memo has room.
+    pub(crate) fn with_candidate<R>(
+        &mut self,
+        tt: Tt,
+        inspect: impl FnOnce(&XagFragment) -> R,
+    ) -> R {
+        if let Some(frag) = self.memo.get(&tt) {
+            return inspect(frag);
+        }
+        let frag = self.build_candidate(tt);
+        let out = inspect(&frag);
+        self.memo.insert(tt, frag);
+        out
+    }
+
+    fn build_candidate(&mut self, tt: Tt) -> XagFragment {
         // Reduce to the support first: classification and the database work
         // on the compacted function.
         let (g, map) = tt.shrink_to_support();
         if g.vars() != tt.vars() {
-            let inner = self.candidate_for_cut_reduced(g);
+            let inner = self.build_reduced(g);
             let lifted = inner.with_inputs(tt.vars(), &map);
             debug_assert_eq!(lifted.eval_tt(), tt);
             return lifted;
         }
-        let frag = self.candidate_for_cut_reduced(tt);
+        let frag = self.build_reduced(tt);
         debug_assert_eq!(frag.eval_tt(), tt);
         frag
     }
 
-    fn candidate_for_cut_reduced(&mut self, tt: Tt) -> XagFragment {
+    fn build_reduced(&mut self, tt: Tt) -> XagFragment {
         if tt.is_constant() || tt.vars() == 0 {
             return XagFragment::constant(tt.vars(), tt.is_one());
         }
         let classification = self.classifier.classify(tt);
         let rep = classification.representative;
-        let rep_frag = match self.db.get(&rep) {
-            Some(frag) => frag.clone(),
-            None => {
-                let frag = self.synth.synthesize(rep);
-                self.db.insert(rep, frag.clone());
-                frag
+        if let Some(frag) = self.db.get(&rep) {
+            return frag.undo_affine_ops(&classification.ops);
+        }
+        let rep_frag = self.synth.synthesize(rep);
+        let frag = rep_frag.undo_affine_ops(&classification.ops);
+        self.db.insert(rep, rep_frag);
+        frag
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Pass, Pipeline};
+    use mc_rng::Rng;
+    use xag_network::fuzz::{random_xag, FuzzConfig};
+    use xag_network::{write_verilog, Xag};
+
+    /// Every function of up to four variables, then a seeded sample of
+    /// five- and six-variable ones.
+    fn sample_functions() -> Vec<Tt> {
+        let mut out: Vec<Tt> = (1..=4usize)
+            .flat_map(|n| (0..1u64 << (1 << n)).map(move |bits| Tt::from_bits(bits, n)))
+            .collect();
+        let mut rng = Rng::seed_from_u64(0x3e30);
+        for n in [5usize, 6] {
+            out.extend((0..64).map(|_| Tt::from_bits(rng.next_u64(), n)));
+        }
+        out
+    }
+
+    fn netlist(xag: &Xag) -> String {
+        let mut buf = Vec::new();
+        write_verilog(&xag.cleanup(), "m", &mut buf).expect("in-memory write");
+        String::from_utf8(buf).expect("ASCII netlist")
+    }
+
+    #[test]
+    fn memoized_candidates_equal_what_a_fresh_context_builds() {
+        let functions = sample_functions();
+        let mut memo = OptContext::new();
+        for &tt in &functions {
+            let built = memo.candidate_for_cut(tt);
+            assert_eq!(memo.candidate_for_cut(tt), built, "memo hit for {tt:?}");
+        }
+        // The references store nothing between functions: a fresh context
+        // (memo and every cache below it empty) for a sample, and a
+        // context without a memo for all of them.
+        let mut unmemoized = OptContext::new();
+        unmemoized.memo = SharedMap::bounded(0);
+        for (i, &tt) in functions.iter().enumerate() {
+            let expected = memo.candidate_for_cut(tt);
+            assert_eq!(unmemoized.candidate_for_cut(tt), expected, "{tt:?}");
+            // A fresh context synthesizes from nothing (~10 ms for a
+            // 4-variable class), so it sees every 1024th function.
+            if tt.vars() <= 3 || i % 1024 == 0 || (tt.vars() > 4 && i % 8 == 0) {
+                assert_eq!(OptContext::new().candidate_for_cut(tt), expected, "{tt:?}");
             }
-        };
-        rep_frag.undo_affine_ops(&classification.ops)
+        }
+        assert!(unmemoized.memo.is_empty());
+    }
+
+    #[test]
+    fn a_fork_shares_the_tables_instead_of_copying_them() {
+        let mut parent = OptContext::new();
+        for tt in sample_functions().into_iter().step_by(97) {
+            parent.candidate_for_cut(tt);
+        }
+        let fork = parent.fork();
+        assert!(fork.memo.shares_layer_with(&parent.memo));
+        assert!(fork.db.shares_layer_with(&parent.db));
+        assert_eq!(fork.memo.len(), parent.memo.len());
+        let clone = parent.clone();
+        assert!(clone.memo.shares_layer_with(&parent.memo));
+    }
+
+    #[test]
+    fn absorb_brings_back_exactly_the_forks_new_entries() {
+        let functions = sample_functions();
+        let mut parent = OptContext::new();
+        let (old, new) = functions.split_at(functions.len() / 2);
+        for &tt in old.iter().step_by(13) {
+            parent.candidate_for_cut(tt);
+        }
+        let before = parent.memo.len();
+        let mut fork = parent.fork();
+        // Half of what the fork asks for is already memoized.
+        let asked: Vec<Tt> = old
+            .iter()
+            .step_by(26)
+            .chain(new.iter().step_by(11))
+            .copied()
+            .collect();
+        let mut added = Vec::new();
+        for &tt in &asked {
+            if !fork.memo.contains_key(&tt) {
+                added.push((tt, fork.candidate_for_cut(tt)));
+            }
+        }
+        let reps = fork.db.len();
+        parent.absorb(fork);
+        assert_eq!(parent.memo.len(), before + added.len());
+        assert_eq!(parent.db.len(), reps);
+        for (tt, frag) in added {
+            assert_eq!(parent.memo.get(&tt), Some(&frag), "{tt:?}");
+        }
+    }
+
+    #[test]
+    fn a_full_memo_stops_growing_and_changes_no_netlist() {
+        let mut full = OptContext::new();
+        full.memo = SharedMap::bounded(16);
+        let mut roomy = OptContext::new();
+        for seed in 0..4u64 {
+            let base = random_xag(&FuzzConfig::default(), seed);
+            let (mut a, mut b) = (base.cleanup(), base.cleanup());
+            Pipeline::paper_flow().run(&mut a, &mut full);
+            Pipeline::paper_flow().run(&mut b, &mut roomy);
+            crate::XorReduce::new().run(&mut a, &mut full);
+            crate::XorReduce::new().run(&mut b, &mut roomy);
+            assert_eq!(netlist(&a), netlist(&b), "seed {seed}");
+        }
+        assert_eq!(full.memo.len(), 16);
+        assert!(roomy.memo.len() > 16);
     }
 }

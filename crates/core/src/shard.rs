@@ -38,7 +38,7 @@ use std::time::Instant;
 use mc_rng::Rng;
 use xag_cuts::{enumerate_cuts_for, CutParams, CutSets};
 use xag_network::{ConeScratch, FragRef, NodeId, NodeKind, Signal, Xag, XagFragment};
-use xag_tt::hash::{FxHashMap, FxHashSet};
+use xag_tt::hash::FxHashMap;
 use xag_tt::Tt;
 
 use crate::context::OptContext;
@@ -155,59 +155,94 @@ pub fn partition_windows(
     shards
 }
 
-/// Reusable buffers for [`frozen_mffc_with`]: one decrement map and one
-/// doomed set per worker, cleared (capacity kept) per measured cut instead
-/// of freshly allocated.
+/// Reusable dense buffers for [`frozen_mffc_with`], indexed by node id and
+/// epoch-stamped like [`ConeScratch`]: starting a new cut bumps the epoch
+/// instead of clearing anything.
 #[derive(Debug, Default)]
 struct MffcScratch {
-    dec: FxHashMap<NodeId, u32>,
-    doomed: FxHashSet<NodeId>,
+    epoch: u32,
+    /// `dec[n]` is live iff `dec_stamp[n] == epoch`.
+    dec_stamp: Vec<u32>,
+    /// References to `n` the measured MFFC removes.
+    dec: Vec<u32>,
+    /// `n` is in the measured MFFC iff `doomed[n] == epoch`.
+    doomed: Vec<u32>,
+}
+
+impl MffcScratch {
+    fn begin(&mut self, cap: usize) {
+        if self.dec.len() < cap {
+            self.dec_stamp.resize(cap, 0);
+            self.dec.resize(cap, 0);
+            self.doomed.resize(cap, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamp wrap-around: reset so stale entries cannot alias.
+            self.dec_stamp.iter_mut().for_each(|s| *s = 0);
+            self.doomed.iter_mut().for_each(|s| *s = 0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Counts one more removed reference to `n`; returns the new count.
+    #[inline]
+    fn decrement(&mut self, n: NodeId) -> u32 {
+        let i = n as usize;
+        if self.dec_stamp[i] != self.epoch {
+            self.dec_stamp[i] = self.epoch;
+            self.dec[i] = 0;
+        }
+        self.dec[i] += 1;
+        self.dec[i]
+    }
+
+    /// True iff `n` is in the MFFC last measured.
+    #[inline]
+    fn is_doomed(&self, n: NodeId) -> bool {
+        self.doomed[n as usize] == self.epoch
+    }
 }
 
 /// Read-only MFFC measurement on a frozen network: the `(AND, total)`
 /// gates that removing `root` (bounded by `leaves`) would free. The member
-/// set is left in `scratch.doomed`. Mirrors [`Xag::deref_cone`] with a
-/// local decrement map instead of mutating reference counts, so any number
-/// of workers can measure overlapping cones concurrently.
+/// set is left in `scratch` ([`MffcScratch::is_doomed`]). Mirrors
+/// [`Xag::deref_cone`] with local decrement counts instead of mutating
+/// reference counts, so any number of workers can measure overlapping
+/// cones concurrently.
 fn frozen_mffc_with(
     xag: &Xag,
     root: NodeId,
     leaves: &[NodeId],
     scratch: &mut MffcScratch,
 ) -> (u32, u32) {
-    scratch.dec.clear();
-    scratch.doomed.clear();
-    scratch.doomed.insert(root);
-    frozen_mffc_rec(xag, root, leaves, &mut scratch.dec, &mut scratch.doomed)
+    scratch.begin(xag.capacity());
+    scratch.doomed[root as usize] = scratch.epoch;
+    frozen_mffc_rec(xag, root, leaves, scratch)
 }
 
 #[cfg(test)]
-fn frozen_mffc(xag: &Xag, root: NodeId, leaves: &[NodeId]) -> (u32, u32, FxHashSet<NodeId>) {
+fn frozen_mffc(xag: &Xag, root: NodeId, leaves: &[NodeId]) -> (u32, u32, MffcScratch) {
     let mut scratch = MffcScratch::default();
     let (ands, total) = frozen_mffc_with(xag, root, leaves, &mut scratch);
-    (ands, total, scratch.doomed)
+    (ands, total, scratch)
 }
 
 fn frozen_mffc_rec(
     xag: &Xag,
     n: NodeId,
     leaves: &[NodeId],
-    dec: &mut FxHashMap<NodeId, u32>,
-    doomed: &mut FxHashSet<NodeId>,
+    scratch: &mut MffcScratch,
 ) -> (u32, u32) {
     let mut ands = (xag.kind(n) == NodeKind::And) as u32;
     let mut total = 1u32;
     let (f0, f1) = xag.fanins(n);
     for f in [f0, f1] {
         let fi = f.node();
-        let seen = {
-            let d = dec.entry(fi).or_insert(0);
-            *d += 1;
-            *d
-        };
+        let seen = scratch.decrement(fi);
         if xag.nref(fi) == seen && xag.is_gate(fi) && !leaves.contains(&fi) {
-            doomed.insert(fi);
-            let (a, t) = frozen_mffc_rec(xag, fi, leaves, dec, doomed);
+            scratch.doomed[fi as usize] = scratch.epoch;
+            let (a, t) = frozen_mffc_rec(xag, fi, leaves, scratch);
             ands += a;
             total += t;
         }
@@ -223,7 +258,7 @@ fn estimate_new_gates(
     xag: &Xag,
     frag: &XagFragment,
     leaves: &[Signal],
-    doomed: &FxHashSet<NodeId>,
+    mffc: &MffcScratch,
     outs: &mut Vec<Option<Signal>>,
 ) -> (usize, usize) {
     outs.clear();
@@ -254,7 +289,7 @@ fn estimate_new_gates(
             Some(s)
                 if s.is_const()
                     || !xag.is_gate(s.node())
-                    || (xag.nref(s.node()) > 0 && !doomed.contains(&s.node())) =>
+                    || (xag.nref(s.node()) > 0 && !mffc.is_doomed(s.node())) =>
             {
                 outs.push(Some(s));
             }
@@ -310,35 +345,31 @@ fn propose_shard(
                 continue;
             }
             considered += 1;
-            let candidate = ctx.candidate_for_cut(tt);
             let mut leaves = [Signal::CONST0; 6];
             for (k, &l) in cut.leaves().iter().enumerate() {
                 leaves[k] = Signal::new(l, false);
             }
             let (freed_ands, freed_total) = frozen_mffc_with(xag, root, cut.leaves(), &mut mffc);
-            let (added_ands, added_total) = estimate_new_gates(
-                xag,
-                &candidate,
-                &leaves[..cut.size()],
-                &mffc.doomed,
-                &mut outs,
-            );
-            let gain = match objective {
-                Objective::MultiplicativeComplexity => freed_ands as i64 - added_ands as i64,
-                Objective::Size => freed_total as i64 - added_total as i64,
-            };
-            if gain > 0 && best.as_ref().map(|(g, _)| gain > *g).unwrap_or(true) {
-                best = Some((
-                    gain,
-                    Proposal {
-                        root,
-                        pos: pos[root as usize],
-                        tt,
-                        frag: candidate,
-                        leaves: cut.leaves().to_vec(),
-                    },
-                ));
-            }
+            ctx.with_candidate(tt, |candidate| {
+                let (added_ands, added_total) =
+                    estimate_new_gates(xag, candidate, &leaves[..cut.size()], &mffc, &mut outs);
+                let gain = match objective {
+                    Objective::MultiplicativeComplexity => freed_ands as i64 - added_ands as i64,
+                    Objective::Size => freed_total as i64 - added_total as i64,
+                };
+                if gain > 0 && best.as_ref().map(|(g, _)| gain > *g).unwrap_or(true) {
+                    best = Some((
+                        gain,
+                        Proposal {
+                            root,
+                            pos: pos[root as usize],
+                            tt,
+                            frag: candidate.clone(),
+                            leaves: cut.leaves().to_vec(),
+                        },
+                    ));
+                }
+            });
         }
         if let Some((_, p)) = best {
             proposals.push(p);
@@ -464,13 +495,20 @@ pub(crate) fn parallel_rewrite_round(
         // Trace IDs and phase stacks live in thread-locals; carry the
         // round's trace ID and phase path into the scoped workers so their
         // propose spans join the job's trace and their propose phases fold
-        // to the same path as an inline round's.
+        // to the same path as an inline round's (taken before `spawn_wait`
+        // opens, so that phase holds only the caller's own waiting).
         let trace_id = mc_obs::current_trace_id();
         let stack = mc_obs::prof::current_stack();
+        let workers = threads.min(shards.len());
+        let forks: Vec<OptContext> = {
+            let _p = mc_obs::prof::phase("fork");
+            (0..workers).map(|_| ctx.fork()).collect()
+        };
+        let _wait = mc_obs::prof::phase("spawn_wait");
         let (all, forks) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads.min(shards.len()))
-                .map(|_| {
-                    let mut wctx = ctx.fork();
+            let handles: Vec<_> = forks
+                .into_iter()
+                .map(|mut wctx| {
                     let (claim, next, shards, sets, pos, stack) =
                         (&claim, &next, &shards, &sets, &pos, &stack);
                     s.spawn(move || {
@@ -511,8 +549,12 @@ pub(crate) fn parallel_rewrite_round(
             }
             (all, forks)
         });
-        for fork in forks {
-            ctx.absorb(fork);
+        drop(_wait);
+        {
+            let _p = mc_obs::prof::phase("absorb");
+            for fork in forks {
+                ctx.absorb(fork);
+            }
         }
         // Deterministic aggregation: shard index order, not completion
         // order.

@@ -95,11 +95,13 @@ pub fn reduce_xors(xag: &Xag) -> Xag {
         }
     }
 
-    // 2. Targets: decomposed XOR nodes consumed by an AND gate or a primary
-    //    output.
+    // 2. Targets: decomposed XOR nodes consumed by an AND gate, an opaque
+    //    XOR gate, or a primary output. Every other decomposed XOR is
+    //    interior to the targets' forms and is not rebuilt.
     let mut is_target: HashMap<NodeId, bool> = HashMap::new();
     for &n in &order {
-        if xag.kind(n) == NodeKind::And {
+        let opaque_xor = xag.kind(n) == NodeKind::Xor && !forms.contains_key(&n);
+        if xag.kind(n) == NodeKind::And || opaque_xor {
             let (f0, f1) = xag.fanins(n);
             for f in [f0, f1] {
                 if forms.contains_key(&f.node()) {
@@ -161,16 +163,6 @@ pub fn reduce_xors(xag: &Xag) -> Xag {
                 if [f0, f1].iter().any(|f| pending.contains(&f.node())) {
                     flush(&mut out, &map, &mut rebuilt, &mut pending);
                 }
-                let resolve = |f: Signal,
-                               map: &HashMap<NodeId, Signal>,
-                               rebuilt: &HashMap<NodeId, Signal>| {
-                    let base = rebuilt
-                        .get(&f.node())
-                        .or_else(|| map.get(&f.node()))
-                        .copied()
-                        .expect("fanin mapped in topological order");
-                    base ^ f.is_complement()
-                };
                 let a = resolve(f0, &map, &rebuilt);
                 let b = resolve(f1, &map, &rebuilt);
                 let s = out.and(a, b);
@@ -186,15 +178,11 @@ pub fn reduce_xors(xag: &Xag) -> Xag {
                 } else if !forms.contains_key(&n) {
                     // Opaque wide XOR: copy structurally.
                     let (f0, f1) = xag.fanins(n);
-                    let resolve = |f: Signal| {
-                        let base = rebuilt
-                            .get(&f.node())
-                            .or_else(|| map.get(&f.node()))
-                            .copied()
-                            .expect("fanin mapped");
-                        base ^ f.is_complement()
-                    };
-                    let (a, b) = (resolve(f0), resolve(f1));
+                    if [f0, f1].iter().any(|f| pending.contains(&f.node())) {
+                        flush(&mut out, &map, &mut rebuilt, &mut pending);
+                    }
+                    let a = resolve(f0, &map, &rebuilt);
+                    let b = resolve(f1, &map, &rebuilt);
                     let s = out.xor(a, b);
                     map.insert(n, s);
                 }
@@ -208,13 +196,8 @@ pub fn reduce_xors(xag: &Xag) -> Xag {
     flush(&mut out, &map, &mut rebuilt, &mut pending);
 
     for i in 0..xag.num_outputs() {
-        let s = xag.output_signal(i);
-        let base = rebuilt
-            .get(&s.node())
-            .or_else(|| map.get(&s.node()))
-            .copied()
-            .expect("output driver mapped");
-        out.output(base ^ s.is_complement());
+        let s = resolve(xag.output_signal(i), &map, &rebuilt);
+        out.output(s);
     }
     let _ = targets;
 
@@ -225,6 +208,18 @@ pub fn reduce_xors(xag: &Xag) -> Xag {
     } else {
         orig
     }
+}
+
+/// The rebuilt signal for original fanin `f`. Every node a gate or output
+/// reads is either copied (`map`) or a target (`rebuilt`, flushed before
+/// its first reader), never an interior XOR.
+fn resolve(f: Signal, map: &HashMap<NodeId, Signal>, rebuilt: &HashMap<NodeId, Signal>) -> Signal {
+    let base = rebuilt
+        .get(&f.node())
+        .or_else(|| map.get(&f.node()))
+        .copied()
+        .expect("fanin mapped in topological order");
+    base ^ f.is_complement()
 }
 
 /// Synthesizes a block of linear forms with Paar's greedy pair extraction.

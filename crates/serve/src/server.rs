@@ -631,7 +631,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 fn compute(shared: &Arc<Shared>, job_id: u64, mut xag: Xag, spec: &JobSpec) -> CacheEntry {
     // Fork the shared context so the optimization itself runs without
     // holding any lock; absorb afterwards so every worker benefits from
-    // the representatives this job synthesized.
+    // the representatives this job synthesized. The fork shares the
+    // context's tables, so the lock covers no copy of them.
     let mut ctx = lock_unpoisoned(&shared.ctx).fork();
     let run_start = Instant::now();
     let result = {

@@ -114,6 +114,14 @@ fn multi_thread_job_records_one_phase_tree() {
         paths.iter().any(|p| p == "pipeline;par_rewrite;propose"),
         "no propose phase under the job's path: {paths:?}"
     );
+    for phase in ["fork", "spawn_wait", "absorb"] {
+        assert!(
+            paths
+                .iter()
+                .any(|p| *p == format!("pipeline;par_rewrite;{phase}")),
+            "no {phase} phase under the round: {paths:?}"
+        );
+    }
     assert!(
         !paths.iter().any(|p| p.starts_with("par_rewrite;")),
         "worker phases started a second tree: {paths:?}"

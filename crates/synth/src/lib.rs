@@ -37,7 +37,7 @@
 
 use xag_affine::AffineClassifier;
 use xag_network::XagFragment;
-use xag_tt::hash::FxHashMap;
+use xag_tt::hash::SharedMap;
 use xag_tt::{DynTt, Tt};
 
 mod davio;
@@ -66,14 +66,16 @@ impl Default for SynthConfig {
     }
 }
 
-/// Fragment synthesizer with a per-instance memoization cache.
+/// Fragment synthesizer with a memoization cache.
 ///
-/// The cache plays the role of the paper's `XAG_DB`: each (pseudo-)
-/// representative is synthesized at most once per process.
+/// The cache holds every synthesized function, Davio cofactors included,
+/// so each one is synthesized at most once per process. It is a
+/// [`SharedMap`]: forks read their parent's entries instead of copying
+/// them.
 #[derive(Debug, Clone, Default)]
 pub struct Synthesizer {
     config: SynthConfig,
-    cache: FxHashMap<Tt, XagFragment>,
+    cache: SharedMap<Tt, XagFragment>,
     classifier: AffineClassifier,
 }
 
@@ -105,8 +107,9 @@ impl Synthesizer {
         self.synthesize(f).num_ands()
     }
 
-    /// Clones the synthesizer for a worker thread, with statistics reset
-    /// (see [`AffineClassifier::fork`]).
+    /// Clones the synthesizer for a worker thread: the cache is shared, not
+    /// copied, and statistics start at zero (see
+    /// [`AffineClassifier::fork`]).
     pub fn fork(&self) -> Synthesizer {
         Synthesizer {
             config: self.config,
@@ -115,14 +118,13 @@ impl Synthesizer {
         }
     }
 
-    /// Merges a fork's cache into this one. Synthesis is deterministic, so
-    /// equal keys carry equal fragments and merge order does not matter;
-    /// existing entries are kept. Used to fold worker-local synthesizers
-    /// back into a shared one after a parallel rewriting round.
+    /// Merges the entries a fork cached back into this cache. Synthesis is
+    /// deterministic, so equal keys carry equal fragments and merge order
+    /// does not matter; existing entries are kept. Used to fold
+    /// worker-local synthesizers back into a shared one after a parallel
+    /// rewriting round.
     pub fn absorb(&mut self, other: Synthesizer) {
-        for (f, frag) in other.cache {
-            self.cache.entry(f).or_insert(frag);
-        }
+        self.cache.absorb(other.cache);
         self.classifier.absorb(other.classifier);
     }
 

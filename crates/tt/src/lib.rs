@@ -31,7 +31,7 @@ mod static_tt;
 
 pub use affine_op::AffineOp;
 pub use dyn_tt::DynTt;
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, SharedMap};
 pub use static_tt::{Tt, MAX_VARS};
 
 /// Error returned when constructing a [`Tt`] with more than [`MAX_VARS`]

@@ -2,8 +2,10 @@
 //! ordering, per-pass statistics accumulation, and equivalence after
 //! every composed flow.
 
-use mc_repro::mc::{Cleanup, McRewrite, OptContext, Pipeline, SizeRewrite, XorReduce};
-use mc_repro::network::{equiv_exhaustive, Signal, Xag};
+use mc_repro::mc::{
+    Cleanup, McRewrite, OptContext, Pass, Pipeline, RewriteParams, SizeRewrite, XorReduce,
+};
+use mc_repro::network::{equiv, equiv_exhaustive, Signal, Xag};
 
 type FlowFactory = fn() -> Pipeline;
 
@@ -192,4 +194,37 @@ fn compress_reduces_total_gates_and_run_once_runs_each_pass_once() {
     assert!(!sweep.converged, "run_once never claims convergence");
     assert!(xag.num_gates() <= before);
     assert!(equiv_exhaustive(&reference, &xag.cleanup()));
+}
+
+/// The converged log2 and 32×32-multiplier networks hold wide (opaque)
+/// XOR gates that read interior linear-layer XORs; XOR reduction must
+/// rebuild those reads instead of panicking on an unmapped fanin.
+#[test]
+fn xor_reduce_after_the_paper_flow_on_log2_and_the_multiplier() {
+    use mc_repro::circuits::epfl::{benchmark, Scale};
+    use mc_repro::circuits::mpc::mpc_suite;
+
+    let mut log2 = benchmark("log2", Scale::Reduced).expect("Table 1 row").xag;
+    // The "Initial" network, as Table 1 prepares it.
+    Pipeline::from_params(&RewriteParams {
+        max_rounds: 2,
+        ..RewriteParams::size_baseline()
+    })
+    .run(&mut log2, &mut OptContext::new());
+    let mult = mpc_suite(false)
+        .into_iter()
+        .find(|b| b.name == "32x32-bit Multiplier")
+        .expect("Table 2 row")
+        .xag;
+
+    let mut ctx = OptContext::new();
+    for (name, source) in [("log2", log2.cleanup()), ("multiplier", mult)] {
+        let mut xag = source.clone();
+        Pipeline::paper_flow().run(&mut xag, &mut ctx);
+        XorReduce::new().run(&mut xag, &mut ctx);
+        assert!(
+            equiv(&source, &xag.cleanup(), 7, 64),
+            "{name}: XOR reduction changed the function"
+        );
+    }
 }
