@@ -2,6 +2,7 @@
 //! on-demand representative database.
 
 use xag_affine::{AffineClassifier, ClassifyConfig};
+use xag_cuts::CutSets;
 use xag_network::XagFragment;
 use xag_synth::{SynthConfig, Synthesizer};
 use xag_tt::hash::SharedMap;
@@ -27,6 +28,11 @@ const MEMO_CAPACITY: usize = 1 << 16;
 /// small delta, so [`OptContext::fork`] and `Clone` share the tables
 /// instead of copying them.
 ///
+/// The context also keeps the last rewrite round's cut sets, so the next
+/// round re-enumerates only the cones whose cuts changed
+/// ([`xag_cuts::enumerate_cuts_reusing`]). That slot is private to one
+/// context: forks and clones start without it and `absorb` ignores it.
+///
 /// # Examples
 ///
 /// ```
@@ -48,6 +54,20 @@ pub struct OptContext {
     db: SharedMap<Tt, XagFragment>,
     /// Algorithm 1's output per cut function: the replacement circuit.
     memo: SharedMap<Tt, XagFragment>,
+    /// The last round's cut sets (they carry their `CutParams`).
+    cuts: CutSlot,
+}
+
+/// One slot of cut sets that a clone does not copy: reuse only ever saves
+/// time, so a fork or a served job's context starts empty rather than
+/// duplicating a network-sized arena.
+#[derive(Debug, Default)]
+struct CutSlot(Option<CutSets>);
+
+impl Clone for CutSlot {
+    fn clone(&self) -> Self {
+        Self(None)
+    }
 }
 
 impl Default for OptContext {
@@ -70,6 +90,7 @@ impl OptContext {
             synth: Synthesizer::with_config(synth),
             db: SharedMap::new(),
             memo: SharedMap::bounded(MEMO_CAPACITY),
+            cuts: CutSlot::default(),
         }
     }
 
@@ -94,6 +115,7 @@ impl OptContext {
             synth: self.synth.fork(),
             db: self.db.clone(),
             memo: self.memo.clone(),
+            cuts: CutSlot::default(),
         }
     }
 
@@ -101,12 +123,24 @@ impl OptContext {
     /// classifications and synthesized functions; entries the parent
     /// already has win ties (they are equal anyway, by determinism). Once
     /// the parent holds the only reference to a table, its delta is folded
-    /// into the shared layer in place.
+    /// into the shared layer in place. The fork's cut sets are dropped.
     pub fn absorb(&mut self, fork: OptContext) {
         self.memo.absorb(fork.memo);
         self.db.absorb(fork.db);
         self.classifier.absorb(fork.classifier);
         self.synth.absorb(fork.synth);
+    }
+
+    /// Takes the cut sets the last round left, emptying the slot.
+    pub(crate) fn take_cuts(&mut self) -> Option<CutSets> {
+        self.cuts.0.take()
+    }
+
+    /// Keeps a round's cut sets, at their exact size, for the next round to
+    /// reuse, replacing the previous ones.
+    pub(crate) fn keep_cuts(&mut self, mut sets: CutSets) {
+        sets.shrink_to_fit();
+        self.cuts.0 = Some(sets);
     }
 
     /// AND-gate counts of the database entries, as `(ands, entries)` pairs
@@ -238,6 +272,15 @@ mod tests {
         assert_eq!(fork.memo.len(), parent.memo.len());
         let clone = parent.clone();
         assert!(clone.memo.shares_layer_with(&parent.memo));
+        // A parent that has run rounds holds cut sets; no copy takes them.
+        let mut xag = random_xag(&FuzzConfig::default(), 1).cleanup();
+        Pipeline::paper_flow().run(&mut xag, &mut parent);
+        assert!(parent.cuts.0.is_some());
+        assert!(parent.fork().cuts.0.is_none(), "a fork's cut slot is empty");
+        assert!(
+            parent.clone().cuts.0.is_none(),
+            "a clone's cut slot is empty"
+        );
     }
 
     #[test]

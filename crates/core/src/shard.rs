@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use mc_rng::Rng;
-use xag_cuts::{enumerate_cuts_for, CutParams, CutSets};
+use xag_cuts::{enumerate_cuts_reusing, CutParams, CutSets};
 use xag_network::{ConeScratch, FragRef, NodeId, NodeKind, Signal, Xag, XagFragment};
 use xag_tt::hash::FxHashMap;
 use xag_tt::Tt;
@@ -453,10 +453,18 @@ pub(crate) fn parallel_rewrite_round(
     let order = xag.live_gates();
     let (ands_before, xors_before) = count_gates(xag, &order);
 
+    // Only the cones whose cuts changed since the last round are
+    // re-enumerated; the rest are copied from the context's cut sets.
     let sets = {
         let _p = mc_obs::prof::phase("cut_enum");
-        enumerate_cuts_for(xag, &order, cut_params)
+        let prev = ctx.take_cuts();
+        enumerate_cuts_reusing(xag, &order, cut_params, prev.as_ref())
     };
+    let reg = mc_obs::registry();
+    reg.counter("mc_cuts_reused_total")
+        .add(sets.reused() as u64);
+    reg.counter("mc_cuts_enumerated_total")
+        .add((order.len() - sets.reused()) as u64);
     let mut pos: Vec<usize> = vec![0; xag.capacity()];
     for (i, &n) in order.iter().enumerate() {
         pos[n as usize] = i;
@@ -469,8 +477,7 @@ pub(crate) fn parallel_rewrite_round(
         threads * SHARDS_PER_THREAD
     };
     let shards = partition_windows(xag, &order, &sets, num_shards);
-    mc_obs::registry()
-        .counter("mc_shard_windows_total")
+    reg.counter("mc_shard_windows_total")
         .add(shards.len() as u64);
 
     // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
@@ -583,7 +590,7 @@ pub(crate) fn parallel_rewrite_round(
         let _p = mc_obs::prof::phase("commit_validate");
         commit_proposals(xag, proposals, objective)
     };
-    let reg = mc_obs::registry();
+    ctx.keep_cuts(sets);
     reg.histogram("mc_shard_commit_us")
         .record(commit_start.elapsed().as_micros() as u64);
     reg.counter("mc_shard_proposals_total")
@@ -596,12 +603,13 @@ pub(crate) fn parallel_rewrite_round(
         format!("proposals={num_proposals} applied={applied}"),
     );
 
+    let (ands_after, xors_after) = count_gates(xag, &xag.live_gates());
     PassStats {
         pass: pass_name.to_string(),
         ands_before,
         xors_before,
-        ands_after: xag.num_ands(),
-        xors_after: xag.num_xors(),
+        ands_after,
+        xors_after,
         rewrites_applied: applied,
         cuts_considered: considered,
         elapsed: start.elapsed(),
@@ -736,6 +744,25 @@ mod tests {
             assert_eq!(stats.ands_after, xag.num_ands());
             assert!(equiv_exhaustive(&reference, &xag.cleanup()), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_second_round_reuses_cut_lists_and_counts_them() {
+        let reg = mc_obs::registry();
+        let (reused, enumerated) = (
+            reg.counter("mc_cuts_reused_total"),
+            reg.counter("mc_cuts_enumerated_total"),
+        );
+        let mut xag = random_mixed_network(3).cleanup();
+        let mut ctx = OptContext::new();
+        let params = CutParams::default();
+        let objective = Objective::MultiplicativeComplexity;
+        let before = (reused.get(), enumerated.get());
+        for _ in 0..2 {
+            parallel_rewrite_round(&mut xag, &mut ctx, &params, objective, 1, "par-test");
+        }
+        assert!(enumerated.get() > before.1, "the first round enumerates");
+        assert!(reused.get() > before.0, "the second round reuses lists");
     }
 
     #[test]

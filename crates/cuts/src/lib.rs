@@ -13,6 +13,37 @@
 //! the trivial cut `{n}` always present so that enumeration can continue
 //! upward.
 //!
+//! # Bounded selection
+//!
+//! A node's list is the first `cut_limit` *minimal* merges (no other merge
+//! is a subset), ordered by leaf count and then by first occurrence in the
+//! fanin-pair generation order. It is selected without a dominance sweep
+//! over all merges: the feasible merges are generated into buckets by leaf
+//! count, each bucket in generation order, and the buckets are walked from
+//! the smallest. A merge is accepted unless an accepted cut dominates it
+//! (equal leaves count as dominating, which drops duplicates), and the walk
+//! stops at `cut_limit` accepted cuts, so every merge is checked against at
+//! most `cut_limit` others. This is exact: a non-minimal merge has a minimal
+//! strict subset among the merges, which is smaller, so it sits in an
+//! earlier bucket and was accepted before the walk reaches the superset;
+//! a minimal merge is dominated by nothing but its own duplicates.
+//!
+//! # Reuse across rounds
+//!
+//! A node's list depends only on the node's kind, its two fanin signals
+//! (complement bits included) and its fanins' lists. [`CutSets`] records
+//! the kind and fanins each gate was enumerated from, and
+//! [`enumerate_cuts_reusing`] copies a gate's list from an earlier
+//! enumeration when its kind and fanins match that record and both
+//! fanins' lists came out equal to their earlier ones (copied, or
+//! re-enumerated with an equal result). Every other gate is enumerated;
+//! when its list equals the earlier one anyway, the change stops spreading
+//! upward. By induction from the constant and the inputs, which are always
+//! built afresh, a copied list is exactly what enumeration would produce,
+//! for *any* earlier sets: ones from another network, or from before
+//! arbitrary rewiring, cost time but never change a result. Sets built
+//! with other [`CutParams`] are ignored.
+//!
 //! The data layout is built for the rewrite hot path:
 //!
 //! * a [`Cut`] is a `Copy` value with its (at most six) leaves inline — no
@@ -47,7 +78,7 @@
 //!     .any(|cut| cut.leaves() == [a.node(), b.node(), c.node()]));
 //! ```
 
-use xag_network::{NodeId, NodeKind, Xag};
+use xag_network::{NodeId, NodeKind, Signal, Xag};
 use xag_tt::Tt;
 
 /// Maximum number of leaves a [`Cut`] can hold (matches [`xag_tt::MAX_VARS`]).
@@ -160,16 +191,16 @@ impl Cut {
     /// of `other`, its position in the merged leaf list — exactly the
     /// variable maps [`Tt::expand`] needs to lift the fanin cut functions.
     #[inline]
-    pub fn merge_with_positions(
+    fn merge_with_positions(
         &self,
         other: &Cut,
         max_size: usize,
-    ) -> Option<(Cut, [usize; MAX_CUT_SIZE], [usize; MAX_CUT_SIZE])> {
+    ) -> Option<(Cut, [u8; MAX_CUT_SIZE], [u8; MAX_CUT_SIZE])> {
         debug_assert!(max_size <= MAX_CUT_SIZE);
         let (la, lb) = (self.len as usize, other.len as usize);
         let mut leaves = [0 as NodeId; MAX_CUT_SIZE];
-        let mut pa = [0usize; MAX_CUT_SIZE];
-        let mut pb = [0usize; MAX_CUT_SIZE];
+        let mut pa = [0u8; MAX_CUT_SIZE];
+        let mut pb = [0u8; MAX_CUT_SIZE];
         let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
         while i < la || j < lb {
             if k == max_size {
@@ -179,12 +210,12 @@ impl Cut {
             let take_b = i == la || (j < lb && other.leaves[j] <= self.leaves[i]);
             if take_a {
                 leaves[k] = self.leaves[i];
-                pa[i] = k;
+                pa[i] = k as u8;
                 i += 1;
             }
             if take_b {
                 leaves[k] = other.leaves[j];
-                pb[j] = k;
+                pb[j] = k as u8;
                 j += 1;
             }
             k += 1;
@@ -225,21 +256,63 @@ impl Default for CutParams {
 ///
 /// A flat arena: one shared `Vec<Cut>` plus a per-node `(start, end)` span
 /// indexed by dense node id, with a parallel `Vec<Tt>` holding each cut's
-/// local function computed during enumeration.
+/// local function computed during enumeration. Each gate's entry also
+/// records the kind and fanins its list was enumerated from, so a later
+/// [`enumerate_cuts_reusing`] can tell which lists still hold.
 #[derive(Debug)]
 pub struct CutSets {
-    spans: Vec<(u32, u32)>,
+    params: CutParams,
+    nodes: Vec<Entry>,
     cuts: Vec<Cut>,
     tts: Vec<Tt>,
+    reused: usize,
 }
+
+/// A node's span in the arena and, for a gate, what its list was
+/// enumerated from besides its fanins' lists.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    start: u32,
+    end: u32,
+    origin: Option<Origin>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Origin {
+    is_and: bool,
+    f0: Signal,
+    f1: Signal,
+}
+
+/// A feasible merge waiting for selection: the union, the fanin cuts it
+/// merges, each fanin leaf's position in the union, and the next merge of
+/// the same leaf count ([`NO_NEXT`] ends the bucket).
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    cut: Cut,
+    i0: u32,
+    i1: u32,
+    p0: [u8; MAX_CUT_SIZE],
+    p1: [u8; MAX_CUT_SIZE],
+    next: u32,
+}
+
+const NO_NEXT: u32 = u32::MAX;
 
 impl CutSets {
     #[inline]
     fn span(&self, n: NodeId) -> (usize, usize) {
-        match self.spans.get(n as usize) {
-            Some(&(s, e)) => (s as usize, e as usize),
+        match self.nodes.get(n as usize) {
+            Some(e) => (e.start as usize, e.end as usize),
             None => (0, 0),
         }
+    }
+
+    #[inline]
+    fn set_span(&mut self, n: NodeId, start: usize) {
+        let entry = &mut self.nodes[n as usize];
+        entry.start = start as u32;
+        entry.end = self.cuts.len() as u32;
     }
 
     /// Cuts of a node (empty slice for unknown/dead nodes).
@@ -267,11 +340,126 @@ impl CutSets {
 
     /// Iterates over `(node, cuts)` pairs in increasing node order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[Cut])> {
-        self.spans
+        self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, &(s, e))| e > s)
-            .map(|(n, &(s, e))| (n as NodeId, &self.cuts[s as usize..e as usize]))
+            .filter(|(_, e)| e.end > e.start)
+            .map(|(n, e)| (n as NodeId, &self.cuts[e.start as usize..e.end as usize]))
+    }
+
+    /// Number of gates whose lists [`enumerate_cuts_reusing`] copied from
+    /// the earlier sets instead of enumerating them.
+    pub fn reused(&self) -> usize {
+        self.reused
+    }
+
+    /// Drops the arena's spare capacity, for sets kept for a later
+    /// [`enumerate_cuts_reusing`].
+    pub fn shrink_to_fit(&mut self) {
+        self.cuts.shrink_to_fit();
+        self.tts.shrink_to_fit();
+    }
+
+    /// True iff node `n` has the same cuts and functions here as in `other`.
+    fn same_list(&self, other: &CutSets, n: NodeId) -> bool {
+        self.of(n) == other.of(n) && self.functions_of(n) == other.functions_of(n)
+    }
+
+    fn push_one(&mut self, n: NodeId, cut: Cut, tt: Tt) {
+        let start = self.cuts.len();
+        self.cuts.push(cut);
+        self.tts.push(tt);
+        self.set_span(n, start);
+    }
+
+    /// Appends `prev`'s list of gate `n` as `n`'s list.
+    fn copy_list(&mut self, prev: &CutSets, n: NodeId) {
+        let start = self.cuts.len();
+        let (s, e) = prev.span(n);
+        self.cuts.extend_from_slice(&prev.cuts[s..e]);
+        self.tts.extend_from_slice(&prev.tts[s..e]);
+        self.set_span(n, start);
+    }
+
+    /// Enumerates gate `n`'s list from its fanins' lists by bounded
+    /// selection (module docs), computing each accepted cut's function.
+    /// `cands` is scratch; its merges are chained into per-leaf-count
+    /// buckets.
+    fn enumerate_list(&mut self, n: NodeId, origin: Origin, cands: &mut Vec<Candidate>) {
+        let CutParams {
+            cut_size,
+            cut_limit,
+        } = self.params;
+        cands.clear();
+        let mut head = [NO_NEXT; MAX_CUT_SIZE + 1];
+        let mut tail = [NO_NEXT; MAX_CUT_SIZE + 1];
+        let (s0, e0) = self.span(origin.f0.node());
+        let (s1, e1) = self.span(origin.f1.node());
+        for i0 in s0..e0 {
+            let c0 = self.cuts[i0];
+            for i1 in s1..e1 {
+                let c1 = self.cuts[i1];
+                // Early size filter: the signature popcount never exceeds the
+                // true union size (64-aliasing only collapses bits), so this
+                // rejects only genuinely infeasible merges.
+                if (c0.signature | c1.signature).count_ones() as usize > cut_size {
+                    continue;
+                }
+                if let Some((cut, p0, p1)) = c0.merge_with_positions(&c1, cut_size) {
+                    let (k, size) = (cands.len() as u32, cut.size());
+                    match tail[size] {
+                        NO_NEXT => head[size] = k,
+                        t => cands[t as usize].next = k,
+                    }
+                    tail[size] = k;
+                    cands.push(Candidate {
+                        cut,
+                        i0: i0 as u32,
+                        i1: i1 as u32,
+                        p0,
+                        p1,
+                        next: NO_NEXT,
+                    });
+                }
+            }
+        }
+        let start = self.cuts.len();
+        'select: for &first in &head {
+            let mut k = first;
+            while k != NO_NEXT {
+                if self.cuts.len() - start == cut_limit {
+                    break 'select;
+                }
+                let cand = cands[k as usize];
+                k = cand.next;
+                if self.cuts[start..].iter().any(|c| c.dominates(&cand.cut)) {
+                    continue;
+                }
+                // Fused cut function: lift both fanin tables onto the merged
+                // leaf set and apply the gate operator.
+                let lift = |i: u32, pos: &[u8; MAX_CUT_SIZE], f: Signal| {
+                    let i = i as usize;
+                    let mut p = [0usize; MAX_CUT_SIZE];
+                    let len = self.cuts[i].size();
+                    for (p, &q) in p.iter_mut().zip(&pos[..len]) {
+                        *p = q as usize;
+                    }
+                    let t = self.tts[i].expand(&p[..len], cand.cut.size());
+                    if f.is_complement() {
+                        !t
+                    } else {
+                        t
+                    }
+                };
+                let t0 = lift(cand.i0, &cand.p0, origin.f0);
+                let t1 = lift(cand.i1, &cand.p1, origin.f1);
+                self.cuts.push(cand.cut);
+                self.tts.push(if origin.is_and { t0 & t1 } else { t0 ^ t1 });
+            }
+        }
+        self.cuts.push(Cut::trivial(n));
+        self.tts.push(Tt::projection(0, 1));
+        self.set_span(n, start);
     }
 }
 
@@ -291,91 +479,82 @@ pub fn enumerate_cuts(xag: &Xag, params: &CutParams) -> CutSets {
 ///
 /// Panics if `params.cut_size` is 0 or greater than 6.
 pub fn enumerate_cuts_for(xag: &Xag, order: &[NodeId], params: &CutParams) -> CutSets {
+    enumerate_cuts_reusing(xag, order, params, None)
+}
+
+/// [`enumerate_cuts_for`] that copies a gate's list from `prev`, the sets of
+/// an earlier enumeration, wherever the reuse rule of the module docs
+/// proves it unchanged; [`CutSets::reused`] counts those gates.
+///
+/// The result equals [`enumerate_cuts_for`]'s for any `prev`: sets from
+/// another network, from before any rewiring, or built with other
+/// [`CutParams`] (which are ignored) cost time, never correctness.
+///
+/// # Panics
+///
+/// Panics if `params.cut_size` is 0 or greater than 6.
+pub fn enumerate_cuts_reusing(
+    xag: &Xag,
+    order: &[NodeId],
+    params: &CutParams,
+    prev: Option<&CutSets>,
+) -> CutSets {
     assert!(
         (1..=MAX_CUT_SIZE).contains(&params.cut_size),
         "cut size must be within 1..=6"
     );
+    let prev = prev.filter(|p| p.params == *params);
+    // Room for the previous round's cuts plus some growth, so the arena
+    // seldom doubles while the previous sets are still held.
+    let reserve = prev.map_or(0, |p| p.total() + p.total() / 8);
     let mut sets = CutSets {
-        spans: vec![(0, 0); xag.capacity()],
-        cuts: Vec::new(),
-        tts: Vec::new(),
+        params: *params,
+        nodes: vec![Entry::default(); xag.capacity()],
+        cuts: Vec::with_capacity(reserve),
+        tts: Vec::with_capacity(reserve),
+        reused: 0,
     };
+    // `same[n]`: node n's list equals its list in `prev`.
+    let mut same = vec![false; if prev.is_some() { xag.capacity() } else { 0 }];
     // Constant node: empty cut. Inputs: trivial cut only.
-    push_one(&mut sets, 0, Cut::empty(), Tt::zero(1));
+    sets.push_one(0, Cut::empty(), Tt::zero(1));
     for i in 0..xag.num_inputs() {
         let n = xag.input_signal(i).node();
-        push_one(&mut sets, n, Cut::trivial(n), Tt::projection(0, 1));
+        sets.push_one(n, Cut::trivial(n), Tt::projection(0, 1));
     }
-    // One reusable scratch for the per-node merge; cuts are `Copy`, so
-    // nothing below allocates once the buffers have grown. Each candidate
-    // remembers the fanin-cut pair it merged — functions are computed only
-    // for the cuts that survive dominance pruning and the cut limit.
-    let mut merged: Vec<(Cut, u32, u32)> = Vec::new();
+    if let Some(prev) = prev {
+        same[0] = sets.same_list(prev, 0);
+        for i in 0..xag.num_inputs() {
+            let n = xag.input_signal(i).node();
+            same[n as usize] = sets.same_list(prev, n);
+        }
+    }
+    // One reusable scratch for the per-node merges; cuts are `Copy`, so
+    // nothing below allocates once the buffers have grown.
+    let mut cands: Vec<Candidate> = Vec::new();
     for &n in order {
-        merged.clear();
         let (f0, f1) = xag.fanins(n);
-        let is_and = xag.kind(n) == NodeKind::And;
-        let (s0, e0) = sets.span(f0.node());
-        let (s1, e1) = sets.span(f1.node());
-        for i0 in s0..e0 {
-            let c0 = sets.cuts[i0];
-            for i1 in s1..e1 {
-                let c1 = sets.cuts[i1];
-                // Early size filter: the signature popcount never exceeds the
-                // true union size (64-aliasing only collapses bits), so this
-                // rejects only genuinely infeasible merges.
-                if (c0.signature | c1.signature).count_ones() as usize > params.cut_size {
-                    continue;
-                }
-                let Some(cut) = c0.merge(&c1, params.cut_size) else {
-                    continue;
-                };
-                if merged.iter().any(|(c, _, _)| c.dominates(&cut)) {
-                    continue;
-                }
-                merged.retain(|(c, _, _)| !cut.dominates(c));
-                merged.push((cut, i0 as u32, i1 as u32));
-            }
+        let origin = Origin {
+            is_and: xag.kind(n) == NodeKind::And,
+            f0,
+            f1,
+        };
+        sets.nodes[n as usize].origin = Some(origin);
+        let Some(prev) = prev else {
+            sets.enumerate_list(n, origin, &mut cands);
+            continue;
+        };
+        let recorded = prev.nodes.get(n as usize).and_then(|e| e.origin);
+        if recorded == Some(origin) && same[f0.node() as usize] && same[f1.node() as usize] {
+            sets.copy_list(prev, n);
+            sets.reused += 1;
+            same[n as usize] = true;
+        } else {
+            sets.enumerate_list(n, origin, &mut cands);
+            same[n as usize] = sets.same_list(prev, n);
         }
-        // Priority: smaller cuts first; stable beyond that. Insertion sort —
-        // the lists are tiny and std's stable sort may allocate.
-        for i in 1..merged.len() {
-            let mut j = i;
-            while j > 0 && merged[j - 1].0.len > merged[j].0.len {
-                merged.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        merged.truncate(params.cut_limit);
-        let start = sets.cuts.len() as u32;
-        for &(cut, i0, i1) in &merged {
-            // Fused cut function: replay the merge to recover each leaf's
-            // position in the union, lift both fanin tables onto the merged
-            // leaf set, and apply the gate operator.
-            let (c0, c1) = (sets.cuts[i0 as usize], sets.cuts[i1 as usize]);
-            let (u, p0, p1) = c0
-                .merge_with_positions(&c1, params.cut_size)
-                .expect("cut was produced by this merge");
-            debug_assert_eq!(u, cut);
-            let t0 = sets.tts[i0 as usize].expand(&p0[..c0.size()], cut.size());
-            let t1 = sets.tts[i1 as usize].expand(&p1[..c1.size()], cut.size());
-            let t0 = if f0.is_complement() { !t0 } else { t0 };
-            let t1 = if f1.is_complement() { !t1 } else { t1 };
-            sets.cuts.push(cut);
-            sets.tts.push(if is_and { t0 & t1 } else { t0 ^ t1 });
-        }
-        sets.cuts.push(Cut::trivial(n));
-        sets.tts.push(Tt::projection(0, 1));
-        sets.spans[n as usize] = (start, sets.cuts.len() as u32);
     }
     sets
-}
-
-fn push_one(sets: &mut CutSets, n: NodeId, cut: Cut, tt: Tt) {
-    let start = sets.cuts.len() as u32;
-    sets.cuts.push(cut);
-    sets.tts.push(tt);
-    sets.spans[n as usize] = (start, start + 1);
 }
 
 /// Computes the local function of `root` over a cut, reduced to the cut

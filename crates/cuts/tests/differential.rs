@@ -2,7 +2,8 @@
 //! implementation it replaced.
 //!
 //! The `legacy` module below is a faithful reimplementation of the
-//! pre-overhaul enumeration: `HashMap<NodeId, Vec<Cut>>` sets,
+//! pre-overhaul enumeration, including its full dominance sweep over every
+//! merge before truncation: `HashMap<NodeId, Vec<Cut>>` sets,
 //! heap-allocated leaf vectors, clone-the-fanin-sets merging, the loose
 //! `cut_size + 8` early filter, and a recursive per-cut cone traversal
 //! with a fresh `HashMap` memo. Across 100 seeded fuzz networks the
@@ -147,15 +148,25 @@ fn network(seed: u64) -> Xag {
     random_xag(&cfg, seed)
 }
 
+/// The bounded selection must keep exactly the legacy sweep's first
+/// `cut_limit` minimal cuts. Tight limits make truncation ties decide the
+/// result, so they are pinned alongside the paper's parameters.
 #[test]
 fn dense_enumeration_matches_legacy_across_100_fuzz_networks() {
+    let tight = [(6, 1), (6, 2), (6, 3), (3, 2), (5, 20)].map(|(cut_size, cut_limit)| CutParams {
+        cut_size,
+        cut_limit,
+    });
     for params in [
         CutParams::default(),
         CutParams {
             cut_size: 4,
             cut_limit: 8,
         },
-    ] {
+    ]
+    .into_iter()
+    .chain(tight)
+    {
         for seed in 0..100u64 {
             let xag = network(seed);
             let order = xag.live_gates();
