@@ -1,7 +1,7 @@
 //! Developer tool: trace per-round AND counts while optimizing a ripple
 //! adder through the pass pipeline, to inspect convergence behaviour.
 //!
-//! Usage: `debug_adder [bits] [cut_limit] [cut_size] [exact_vars] [threads] [--json PATH]`
+//! Usage: `debug_adder [bits] [cut_size] [exact_vars] [threads] [--json PATH]`
 //!
 //! `threads` sets the worker count of every rewriting round (wall-clock
 //! only; the result is the same for every count).
@@ -20,10 +20,9 @@ fn main() {
             .unwrap_or(default)
     };
     let bits = arg(1, 16);
-    let cut_limit = arg(2, 12);
-    let cut_size = arg(3, 6);
-    let exact_vars = arg(4, 4);
-    let threads = arg(5, 1);
+    let cut_size = arg(2, 6);
+    let exact_vars = arg(3, 4);
+    let threads = arg(4, 1);
 
     let mut x = Xag::new();
     let a = input_word(&mut x, bits);
@@ -34,12 +33,13 @@ fn main() {
     println!("initial: {} AND {} XOR", x.num_ands(), x.num_xors());
     let (size_before, depth_before, mc_before) = (x.num_gates(), x.and_depth(), x.num_ands());
 
-    let mut params = RewriteParams::default();
-    params.cut_params.cut_limit = cut_limit;
-    params.cut_params.cut_size = cut_size;
+    let mut params = RewriteParams {
+        cut_size,
+        ..RewriteParams::default()
+    };
     params.synth_config.exact_search_max_vars = exact_vars;
     let flow = Pipeline::from_params(&params);
-    println!("flow: {:?}", flow.pass_names());
+    println!("flow: {}", flow.spec());
 
     let mut ctx = OptContext::with_config(params.classify_config, params.synth_config);
     let stats = flow.run_parallel(&mut x, &mut ctx, threads);
@@ -72,14 +72,7 @@ fn main() {
             mc_after: x.num_ands(),
             wall_s: stats.total_time().as_secs_f64(),
             threads,
-            // The spec for the from_params cut schedule actually run
-            // (cut_limit/exact_vars are context knobs outside the spec
-            // language).
-            flow: if cut_size > 4 {
-                format!("{{mc(cut=4);mc(cut={cut_size})}}*")
-            } else {
-                format!("mc(cut={cut_size})*")
-            },
+            flow: flow.spec().normalized(),
         };
         write_bench_json(&path, std::slice::from_ref(&record)).expect("write --json output");
         println!("wrote 1 record to {}", path.display());

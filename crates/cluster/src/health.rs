@@ -3,7 +3,8 @@
 //! Heartbeats alone cannot distinguish "backend died" from "backend's
 //! join agent died"; a router-initiated `ping` over a fresh connection
 //! probes the thing that matters — whether the backend still answers the
-//! frame protocol. [`health_loop`] runs three detectors every interval:
+//! frame protocol. The router's `health_loop` runs three detectors every
+//! interval:
 //!
 //! 1. **sweep** — backends whose `last_seen` (registration, heartbeat,
 //!    or successful ping) aged past the heartbeat timeout are marked
@@ -59,7 +60,7 @@ pub fn ping_addr(addr: &str, timeout: Duration) -> bool {
     )
 }
 
-/// Knobs of [`health_loop`].
+/// Knobs of the router's `health_loop`.
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
     /// Pause between check rounds.

@@ -4,7 +4,7 @@
 //! One [`Registry`] owns everything the router knows about its backends:
 //! the id ↔ address map, announced capacity, the health state machine,
 //! live load (in-flight dispatches, last-heartbeat queue depth), and the
-//! consistent-hash [`HashRing`](crate::ring::HashRing) the *up* backends
+//! consistent-hash [`HashRing`] the *up* backends
 //! populate.
 //!
 //! # Health state machine

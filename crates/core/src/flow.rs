@@ -1,11 +1,13 @@
 //! FlowSpec — a small textual DSL and typed AST for optimization flows.
 //!
-//! The service tiers used to expose exactly three hardcoded flows
-//! through a closed enum. A [`FlowSpec`] replaces that with a
-//! *description* of a flow that can be parsed from a string, validated,
-//! normalized to canonical bytes (the cache-key contribution), and
-//! executed through the existing [`Pipeline`] machinery — so arbitrary
-//! client-defined flows travel over the wire, ABC-script style.
+//! A [`FlowSpec`] is the one *description* of an optimization flow: it
+//! can be parsed from a string, validated, normalized to canonical bytes
+//! (the cache-key contribution), and executed by its interpreter
+//! ([`FlowSpec::run`]) — so arbitrary client-defined flows travel over
+//! the wire, ABC-script style. The interpreter is the only flow
+//! executor: [`crate::Pipeline`] builds a `{p1;…;pn}*` spec and runs it
+//! here, and so do the [`crate::McOptimizer`] facade and
+//! [`crate::run_job`].
 //!
 //! # Grammar
 //!
@@ -33,20 +35,22 @@
 //! # Semantics
 //!
 //! * A bare item runs once; `*k` runs it `k` times.
-//! * `unit*` repeats the unit's passes **until convergence** with the
-//!   exact schedule of [`Pipeline::run`]: the current pass repeats while
-//!   it improves the metric, then the flow advances cyclically, and the
-//!   group has converged once every pass is stale in sequence. The
-//!   metric is [`Objective::Size`] when the unit contains a `size` atom
-//!   and [`Objective::MultiplicativeComplexity`] otherwise. Nesting a
-//!   `*` inside another `*` group is rejected.
+//! * `unit*` repeats the unit's passes **until convergence**: the unit
+//!   is flattened to its passes (bounded repeats expanded), the current
+//!   pass repeats while it improves the metric, then the flow advances
+//!   cyclically, and the group has converged once every pass is stale in
+//!   sequence. With the `paper` passes this is the paper's "repeat until
+//!   convergence" loop, smaller cuts first. The metric is
+//!   [`Objective::Size`] when the unit contains a `size` atom and
+//!   [`Objective::MultiplicativeComplexity`] otherwise. Nesting a `*`
+//!   inside another `*` group is rejected.
 //! * `par(threads=N){…}` runs its body with `N` worker threads through
 //!   the sharded engine. Thread counts **never change the result**
 //!   (bit-identical, see [`crate::shard`]) — which is why
 //!   [`FlowSpec::normalize`] erases `par` wrappers entirely.
 //! * The whole run is capped at `max_rounds` total pass executions,
 //!   shared across the spec; a spec cut off by the cap reports
-//!   `converged = false`.
+//!   `converged = false`. A cap of 0 runs no pass at all.
 //!
 //! # Normalization
 //!
@@ -97,7 +101,6 @@ use xag_network::Xag;
 
 use crate::context::OptContext;
 use crate::pass::{Cleanup, McRewrite, Pass, PassStats, SizeRewrite, XorReduce};
-use crate::pipeline::{run_pass, Pipeline};
 use crate::stats::PipelineStats;
 use crate::Objective;
 
@@ -202,9 +205,20 @@ pub enum Repeat {
     Once,
     /// A fixed number of times (`*k`).
     Times(usize),
-    /// Until convergence (bare `*`), under the [`Pipeline::run`]
-    /// schedule.
+    /// Until convergence (bare `*`), under the schedule of the
+    /// [module documentation](self).
     Converge,
+}
+
+impl Repeat {
+    /// How many times the unit runs; an until-convergence group counts
+    /// once here, because the round budget bounds it at runtime.
+    fn count(self) -> usize {
+        match self {
+            Repeat::Once | Repeat::Converge => 1,
+            Repeat::Times(k) => k,
+        }
+    }
 }
 
 /// One unit of a flow: a pass atom or a bracketed sub-flow.
@@ -290,24 +304,6 @@ fn alias_item(name: &str) -> Option<FlowItem> {
 
 fn alias_spec(name: &str) -> Option<FlowSpec> {
     alias_item(name).map(|item| FlowSpec { items: vec![item] })
-}
-
-/// The library [`Pipeline`] each alias names, for tests that check the
-/// two stay the same flow.
-#[cfg(test)]
-pub(crate) fn library_pipeline(alias: &str) -> Pipeline {
-    match alias {
-        "paper" => Pipeline::paper_flow(),
-        "compress" => Pipeline::compress(),
-        "from_params" => Pipeline::from_params(&crate::RewriteParams {
-            cut_params: xag_cuts::CutParams {
-                cut_size: 4,
-                ..Default::default()
-            },
-            ..Default::default()
-        }),
-        _ => panic!("no library pipeline for {alias}"),
-    }
 }
 
 impl FlowSpec {
@@ -423,21 +419,17 @@ impl FlowSpec {
         threads: usize,
         max_rounds: usize,
     ) -> PipelineStats {
-        let budget = max_rounds.max(1);
-        let mut executed: Vec<PassStats> = Vec::new();
-        let mut converged = true;
-        run_items(
-            &self.items,
+        let mut exec = Exec {
             xag,
             ctx,
-            threads.max(1),
-            budget,
-            &mut executed,
-            &mut converged,
-        );
+            budget: max_rounds,
+            executed: Vec::new(),
+            converged: true,
+        };
+        exec.items(&self.items, threads.max(1));
         PipelineStats {
-            passes: executed,
-            converged,
+            passes: exec.executed,
+            converged: exec.converged,
         }
     }
 }
@@ -489,11 +481,7 @@ fn cost_items(items: &[FlowItem]) -> u64 {
                 FlowUnit::Group(body) | FlowUnit::Par { body, .. } => cost_items(body),
                 _ => 1,
             };
-            let times = match item.repeat {
-                Repeat::Once | Repeat::Converge => 1,
-                Repeat::Times(k) => k as u64,
-            };
-            unit.saturating_mul(times)
+            unit.saturating_mul(item.repeat.count() as u64)
         })
         .fold(0u64, u64::saturating_add)
 }
@@ -555,38 +543,36 @@ fn normalize_items(items: &[FlowItem]) -> Vec<FlowItem> {
 }
 
 // ---------------------------------------------------------------------
-// Lowering and execution
+// Execution
 
-fn atom_pass(unit: &FlowUnit) -> Option<Box<dyn Pass>> {
+fn atom_pass(unit: &FlowUnit) -> Box<dyn Pass> {
     match unit {
-        FlowUnit::Mc { cut } => Some(Box::new(McRewrite::with_cut_size(*cut))),
-        FlowUnit::Size { cut } => Some(Box::new(SizeRewrite::with_cut_size(*cut))),
-        FlowUnit::Xor => Some(Box::new(XorReduce::new())),
-        FlowUnit::Cleanup => Some(Box::new(Cleanup::new())),
-        FlowUnit::Group(_) | FlowUnit::Par { .. } => None,
+        FlowUnit::Mc { cut } => Box::new(McRewrite::with_cut_size(*cut)),
+        FlowUnit::Size { cut } => Box::new(SizeRewrite::with_cut_size(*cut)),
+        FlowUnit::Xor => Box::new(XorReduce::new()),
+        FlowUnit::Cleanup => Box::new(Cleanup::new()),
+        FlowUnit::Group(_) | FlowUnit::Par { .. } => unreachable!("only atoms are passes"),
     }
 }
 
-/// Appends the passes of `items` to `flow`, expanding bounded
-/// repetitions. `pin` carries the innermost enclosing `par{}` thread
-/// count, which travels with each pass into the pipeline — so a `par`
-/// block nested anywhere, including inside a convergence group, keeps its
-/// worker-count override.
-fn lower_items(items: &[FlowItem], pin: Option<usize>, mut flow: Pipeline) -> Pipeline {
-    for item in items {
-        let times = match item.repeat {
-            Repeat::Once | Repeat::Converge => 1,
-            Repeat::Times(k) => k,
-        };
-        for _ in 0..times {
-            flow = match &item.unit {
-                FlowUnit::Group(body) => lower_items(body, pin, flow),
-                FlowUnit::Par { threads, body } => lower_items(body, Some(*threads), flow),
-                atom => flow.add_with_threads(atom_pass(atom).expect("atoms lower to passes"), pin),
-            };
+/// Appends the passes of `unit` to `steps`, expanding bounded
+/// repetitions. Each pass carries the worker count of its innermost
+/// enclosing `par{}` block (`threads` outside any), so a `par` block
+/// nested inside a convergence group keeps its override.
+fn flatten(unit: &FlowUnit, threads: usize, steps: &mut Vec<(Box<dyn Pass>, usize)>) {
+    let (body, threads) = match unit {
+        FlowUnit::Group(body) => (body, threads),
+        FlowUnit::Par { threads, body } => (body, *threads),
+        atom => {
+            steps.push((atom_pass(atom), threads));
+            return;
+        }
+    };
+    for item in body {
+        for _ in 0..item.repeat.count() {
+            flatten(&item.unit, threads, steps);
         }
     }
-    flow
 }
 
 /// The metric a convergence group measures: [`Objective::Size`] iff the
@@ -608,64 +594,72 @@ fn unit_metric(unit: &FlowUnit) -> Objective {
     }
 }
 
-fn run_items(
-    items: &[FlowItem],
-    xag: &mut Xag,
-    ctx: &mut OptContext,
-    threads: usize,
+/// The flow interpreter: walks the AST, running every pass against one
+/// shared round budget.
+struct Exec<'a> {
+    xag: &'a mut Xag,
+    ctx: &'a mut OptContext,
     budget: usize,
-    executed: &mut Vec<PassStats>,
-    converged: &mut bool,
-) {
-    for item in items {
-        match item.repeat {
-            Repeat::Once => run_unit(&item.unit, xag, ctx, threads, budget, executed, converged),
-            Repeat::Times(k) => {
-                for _ in 0..k {
-                    run_unit(&item.unit, xag, ctx, threads, budget, executed, converged);
-                }
+    executed: Vec<PassStats>,
+    converged: bool,
+}
+
+impl Exec<'_> {
+    fn items(&mut self, items: &[FlowItem], threads: usize) {
+        for item in items {
+            if item.repeat == Repeat::Converge {
+                let mut steps = Vec::new();
+                flatten(&item.unit, threads, &mut steps);
+                self.converge(&steps, unit_metric(&item.unit));
+                continue;
             }
-            Repeat::Converge => {
-                if executed.len() >= budget {
-                    *converged = false;
-                    continue;
+            for _ in 0..item.repeat.count() {
+                match &item.unit {
+                    FlowUnit::Group(body) => self.items(body, threads),
+                    FlowUnit::Par { threads, body } => self.items(body, *threads),
+                    atom => {
+                        self.pass(atom_pass(atom).as_ref(), threads);
+                    }
                 }
-                // The one convergence loop: Pipeline's schedule, so an
-                // alias runs exactly like the library pipeline it names.
-                let flow = Pipeline::new()
-                    .metric(unit_metric(&item.unit))
-                    .max_rounds(budget - executed.len());
-                let stats = lower_items(core::slice::from_ref(item), None, flow)
-                    .run_parallel(xag, ctx, threads);
-                *converged &= stats.converged;
-                executed.extend(stats.passes);
             }
         }
     }
-}
 
-fn run_unit(
-    unit: &FlowUnit,
-    xag: &mut Xag,
-    ctx: &mut OptContext,
-    threads: usize,
-    budget: usize,
-    executed: &mut Vec<PassStats>,
-    converged: &mut bool,
-) {
-    match unit {
-        FlowUnit::Group(body) => run_items(body, xag, ctx, threads, budget, executed, converged),
-        FlowUnit::Par { threads: t, body } => {
-            run_items(body, xag, ctx, *t, budget, executed, converged);
-        }
-        atom => {
-            if executed.len() >= budget {
-                *converged = false;
+    /// The until-convergence schedule: the current pass repeats while it
+    /// improves `metric`; once stale, the group advances to the next pass
+    /// (cyclically); once every pass in sequence was stale, the group has
+    /// converged.
+    fn converge(&mut self, steps: &[(Box<dyn Pass>, usize)], metric: Objective) {
+        let (mut phase, mut stale) = (0, 0);
+        while stale < steps.len() {
+            let (pass, threads) = &steps[phase % steps.len()];
+            let Some(stats) = self.pass(pass.as_ref(), *threads) else {
                 return;
+            };
+            if stats.improved(metric) {
+                stale = 0;
+            } else {
+                stale += 1;
+                phase += 1;
             }
-            let pass = atom_pass(atom).expect("atoms lower to passes");
-            executed.push(run_pass(pass.as_ref(), xag, ctx, threads));
         }
+    }
+
+    /// Runs one pass under the `pipeline` profiler phase and reports it at
+    /// the instrumentation boundary — or, once the budget is spent, runs
+    /// nothing and marks the flow as cut off.
+    fn pass(&mut self, pass: &dyn Pass, threads: usize) -> Option<&PassStats> {
+        if self.executed.len() >= self.budget {
+            self.converged = false;
+            return None;
+        }
+        let stats = {
+            let _root = mc_obs::prof::phase("pipeline");
+            pass.run_parallel(self.xag, self.ctx, threads.max(1))
+        };
+        crate::observe::pass_boundary(&stats);
+        self.executed.push(stats);
+        self.executed.last()
     }
 }
 
@@ -1204,26 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn alias_pipelines_match_the_flowkind_flows() {
-        // Each named flow executes the same passes, in the same order and
-        // with the same stopping round, as its library pipeline.
-        let executed = |stats: PipelineStats| -> Vec<String> {
-            stats.passes.into_iter().map(|p| p.pass).collect()
-        };
-        for (name, _) in FlowSpec::aliases() {
-            let spec = FlowSpec::named(name).unwrap();
-            let ours = executed(spec.run(&mut full_adder(), &mut OptContext::new(), 1, 100));
-            let theirs = executed(
-                library_pipeline(name)
-                    .max_rounds(100)
-                    .run(&mut full_adder(), &mut OptContext::new()),
-            );
-            assert!(!ours.is_empty(), "{name}");
-            assert_eq!(ours, theirs, "{name}");
-        }
-    }
-
-    #[test]
     fn execution_preserves_function_and_honors_the_round_budget() {
         for text in [
             "paper",
@@ -1253,6 +1227,30 @@ mod tests {
             !stats.converged,
             "truncated specs must not claim convergence"
         );
+    }
+
+    #[test]
+    fn a_zero_round_budget_runs_nothing() {
+        let netlist = |xag: &Xag| {
+            let mut buf = Vec::new();
+            write_verilog(xag, "m", &mut buf).expect("in-memory write");
+            buf
+        };
+        let mut by_spec = full_adder();
+        let spec_stats =
+            FlowSpec::named("paper")
+                .unwrap()
+                .run(&mut by_spec, &mut OptContext::new(), 1, 0);
+        let mut by_pipeline = full_adder();
+        let pipeline_stats = crate::Pipeline::paper_flow()
+            .max_rounds(0)
+            .run(&mut by_pipeline, &mut OptContext::new());
+        let reference = netlist(&full_adder());
+        for (xag, stats) in [(by_spec, spec_stats), (by_pipeline, pipeline_stats)] {
+            assert_eq!(stats.num_rounds(), 0);
+            assert!(!stats.converged, "an unrun flow has not converged");
+            assert_eq!(netlist(&xag), reference);
+        }
     }
 
     #[test]
@@ -1290,7 +1288,7 @@ mod tests {
     }
 
     /// A `par{}` nested inside a convergence group keeps its worker
-    /// override through the pipeline flattening without changing pass
+    /// override through the group's flattening without changing pass
     /// names, results, or the normalized key.
     #[test]
     fn nested_par_in_convergence_group_runs_and_stays_canonical() {

@@ -12,14 +12,18 @@
 //!   Algorithm 1), [`SizeRewrite`] (the unit-cost ABC-baseline stand-in),
 //!   [`XorReduce`] (Paar linear-layer compression), and [`Cleanup`]
 //!   (arena compaction).
+//! * [`FlowSpec`] — the one description of a flow (a small textual
+//!   language with a typed AST, see [`flow`]) and the one flow executor,
+//!   [`FlowSpec::run`], with until-convergence repetition and per-pass
+//!   statistics.
 //! * [`Pipeline`] — ABC-script-style flow construction
 //!   ([`Pipeline::paper_flow`], [`Pipeline::compress`], or pass by pass
-//!   with [`Pipeline::add`]) with until-convergence repetition and
-//!   per-pass statistics; [`Pipeline::run_parallel`] spreads the same
-//!   flow over a worker pool, with bit-identical results for every
+//!   with [`Pipeline::add`]): a builder for a `{p1;…;pn}*` spec, run
+//!   through that interpreter. [`Pipeline::run_parallel`] spreads the
+//!   same flow over a worker pool, with bit-identical results for every
 //!   thread count.
-//! * [`McOptimizer`] — a thin facade running [`Pipeline::paper_flow`]
-//!   with one call, for the common case.
+//! * [`McOptimizer`] — a thin facade running [`Pipeline::from_params`]
+//!   (the paper flow by default) with one call, for the common case.
 //!
 //! Both rewriting passes run every round through one engine, the sharded
 //! propose/commit round of [`shard`]. One [`McRewrite`] round implements
@@ -40,8 +44,8 @@
 //!    added logic), measured on the network as it was when the round
 //!    started;
 //! 7. commit the proposals in topological order, re-checking each gain on
-//!    the network the earlier commits left, and — under [`Pipeline::run`]
-//!    — repeat rounds until convergence.
+//!    the network the earlier commits left, and — in a `*` group of the
+//!    flow — repeat rounds until convergence.
 //!
 //! # Examples
 //!
@@ -140,8 +144,10 @@ pub enum Objective {
 pub struct RewriteParams {
     /// Objective function.
     pub objective: Objective,
-    /// Cut enumeration parameters (paper defaults: 6-cuts, limit 12).
-    pub cut_params: CutParams,
+    /// The wide cut size of the [`Pipeline::from_params`] schedule
+    /// (paper default: 6-cuts; every round keeps at most 12 cuts per
+    /// node).
+    pub cut_size: usize,
     /// Heuristic classifier configuration for 5-/6-input cut functions.
     pub classify_config: ClassifyConfig,
     /// Database synthesizer configuration.
@@ -159,7 +165,7 @@ impl Default for RewriteParams {
     fn default() -> Self {
         Self {
             objective: Objective::MultiplicativeComplexity,
-            cut_params: CutParams::default(),
+            cut_size: CutParams::default().cut_size,
             classify_config: ClassifyConfig::default(),
             synth_config: SynthConfig::default(),
             max_rounds: 100,
@@ -218,16 +224,19 @@ impl McOptimizer {
     }
 
     /// Runs one rewriting round over all gates (the paper's "One round"
-    /// columns) and returns its statistics.
+    /// columns) — one [`McRewrite`] (or, for [`Objective::Size`],
+    /// [`SizeRewrite`]) pass at [`RewriteParams::cut_size`] — and returns
+    /// its statistics.
     pub fn run_once(&mut self, xag: &mut Xag) -> PassStats {
-        shard::parallel_rewrite_round(
-            xag,
-            &mut self.ctx,
-            &self.params.cut_params,
-            self.params.objective,
-            self.params.threads,
-            "facade",
-        )
+        let (cut, threads) = (self.params.cut_size, self.params.threads);
+        match self.params.objective {
+            Objective::MultiplicativeComplexity => {
+                McRewrite::with_cut_size(cut).run_parallel(xag, &mut self.ctx, threads)
+            }
+            Objective::Size => {
+                SizeRewrite::with_cut_size(cut).run_parallel(xag, &mut self.ctx, threads)
+            }
+        }
     }
 
     /// Repeats rewriting rounds until the objective stops improving (the

@@ -1,8 +1,9 @@
 //! The pass abstraction and the four concrete optimization passes.
 //!
 //! A [`Pass`] transforms a network in place, reading and updating the
-//! shared [`OptContext`], and reports what it did as [`PassStats`]. Passes
-//! are composed by [`crate::Pipeline`]; the concrete passes are:
+//! shared [`OptContext`], and reports what it did as [`PassStats`]. Each
+//! concrete pass is one atom of the [`crate::FlowSpec`] language (and
+//! converts into it, so [`crate::Pipeline::add`] takes passes):
 //!
 //! * [`McRewrite`] — one round of cut rewriting minimizing AND gates
 //!   (the paper's Algorithm 1);
@@ -18,6 +19,7 @@ use xag_cuts::CutParams;
 use xag_network::Xag;
 
 use crate::context::OptContext;
+use crate::flow::FlowUnit;
 use crate::shard::parallel_rewrite_round;
 use crate::xor_reduce::reduce_xors;
 use crate::Objective;
@@ -117,22 +119,17 @@ impl Default for McRewrite {
 impl McRewrite {
     /// Paper parameters: 6-feasible cuts, at most 12 per node.
     pub fn new() -> Self {
-        Self::with_params(CutParams::default())
+        Self::with_cut_size(CutParams::default().cut_size)
     }
 
     /// Paper parameters with a different cut size.
     pub fn with_cut_size(cut_size: usize) -> Self {
-        Self::with_params(CutParams {
-            cut_size,
-            ..CutParams::default()
-        })
-    }
-
-    /// Fully custom cut enumeration parameters.
-    pub fn with_params(cut_params: CutParams) -> Self {
         Self {
-            name: format!("mc-rewrite<{}>", cut_params.cut_size),
-            cut_params,
+            name: format!("mc-rewrite<{cut_size}>"),
+            cut_params: CutParams {
+                cut_size,
+                ..CutParams::default()
+            },
         }
     }
 
@@ -176,22 +173,17 @@ impl Default for SizeRewrite {
 impl SizeRewrite {
     /// Default cut enumeration parameters.
     pub fn new() -> Self {
-        Self::with_params(CutParams::default())
+        Self::with_cut_size(CutParams::default().cut_size)
     }
 
     /// Default parameters with a different cut size.
     pub fn with_cut_size(cut_size: usize) -> Self {
-        Self::with_params(CutParams {
-            cut_size,
-            ..CutParams::default()
-        })
-    }
-
-    /// Fully custom cut enumeration parameters.
-    pub fn with_params(cut_params: CutParams) -> Self {
         Self {
-            name: format!("size-rewrite<{}>", cut_params.cut_size),
-            cut_params,
+            name: format!("size-rewrite<{cut_size}>"),
+            cut_params: CutParams {
+                cut_size,
+                ..CutParams::default()
+            },
         }
     }
 }
@@ -287,5 +279,33 @@ impl Pass for Cleanup {
             cuts_considered: 0,
             elapsed: start.elapsed(),
         }
+    }
+}
+
+impl From<McRewrite> for FlowUnit {
+    fn from(pass: McRewrite) -> Self {
+        FlowUnit::Mc {
+            cut: pass.cut_params.cut_size,
+        }
+    }
+}
+
+impl From<SizeRewrite> for FlowUnit {
+    fn from(pass: SizeRewrite) -> Self {
+        FlowUnit::Size {
+            cut: pass.cut_params.cut_size,
+        }
+    }
+}
+
+impl From<XorReduce> for FlowUnit {
+    fn from(_: XorReduce) -> Self {
+        FlowUnit::Xor
+    }
+}
+
+impl From<Cleanup> for FlowUnit {
+    fn from(_: Cleanup) -> Self {
+        FlowUnit::Cleanup
     }
 }

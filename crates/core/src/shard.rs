@@ -12,7 +12,7 @@
 //!    MFFC-style cluster that one rewrite is likely to touch as a whole.
 //!    Windows are packed into shards balanced by estimated cut work.
 //! 2. **Propose** — each root's enumerated cuts are evaluated *read-only*
-//!    against the frozen network, producing the best [`Proposal`] per
+//!    against the frozen network, producing the best `Proposal` per
 //!    root. With one thread this runs inline on the caller's
 //!    [`OptContext`]; with more, a worker pool on [`std::thread::scope`]
 //!    claims shards off a shared queue, each worker on its own context

@@ -11,9 +11,10 @@ use crate::pass::PassStats;
 pub struct PipelineStats {
     /// Per-execution statistics, in execution order.
     pub passes: Vec<PassStats>,
-    /// True iff [`crate::Pipeline::run`] stopped because no pass improved the
-    /// metric anymore (as opposed to hitting the round cap; always false
-    /// for [`crate::Pipeline::run_once`]).
+    /// True iff the flow ran to completion: every until-convergence `*`
+    /// group stopped because no pass improved its metric anymore, and no
+    /// pass was cut off by the round budget (so false for a budget of 0).
+    /// Always false for [`crate::Pipeline::run_once`].
     pub converged: bool,
 }
 
@@ -182,6 +183,28 @@ mod tests {
         assert_eq!(s.ands_after(), 7);
         assert!((s.improvement_pct()).abs() < 1e-9);
         assert_eq!(s.total_time(), Duration::from_millis(5));
+    }
+
+    #[test]
+    fn per_pass_groups_by_name_in_first_execution_order() {
+        let named = |name: &str, before, after| PassStats {
+            pass: name.to_string(),
+            ..round(before, after)
+        };
+        let s = run(
+            vec![named("mc", 10, 8), named("xor", 8, 8), named("mc", 8, 7)],
+            true,
+        );
+        let summary = s.per_pass();
+        assert_eq!(summary.len(), 2);
+        assert_eq!(summary[0].name, "mc");
+        assert_eq!(summary[0].runs, 2);
+        assert_eq!(summary[0].ands_saved, 3);
+        assert_eq!(summary[0].rewrites_applied, 2);
+        assert_eq!(summary[0].cuts_considered, 20);
+        assert_eq!(summary[1].name, "xor");
+        assert_eq!(summary[1].runs, 1);
+        assert_eq!(summary[1].ands_saved, 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   dump for the `TraceDump` endpoint.
 //! - [`progress`]: a board of running jobs updated at pipeline pass
 //!   boundaries and snapshotted by `Status`.
-//! - [`history`]: a fixed-capacity ring of timestamped metric snapshots
+//! - [`history`](mod@history): a fixed-capacity ring of timestamped metric snapshots
 //!   with 10s/1m/5m sliding-window rates, merged cluster-wide by the
 //!   `MetricsHistory` endpoint.
 //! - [`prof`]: the continuous phase profiler — per-phase self/total time

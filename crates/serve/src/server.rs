@@ -8,7 +8,7 @@
 //!   reader thread.
 //! * **Connection readers** — read one frame at a time. Cheap requests
 //!   (`status`, `stats`, cache hits) are answered inline; a cache miss
-//!   becomes a [`Job`] pushed onto the bounded queue — blocking there
+//!   becomes a `Job` pushed onto the bounded queue — blocking there
 //!   *is* the backpressure — and the reader then waits on the job's
 //!   reply channel, so each connection has at most one job in flight and
 //!   responses stay ordered.
